@@ -127,7 +127,7 @@ class _Search:
                 exhausted = exhausted and ex
             combos = [()]
             for vs in arg_sets:
-                combos = [c + (v,) for c in combos for v in sorted(vs, key=repr)]
+                combos = [c + (v,) for c in combos for v in vs]
             out = set()
             if isinstance(term, Con):
                 for c in combos:

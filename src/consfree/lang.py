@@ -5,6 +5,7 @@ Everything here is immutable after construction; all operations are pure.
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Union
 
@@ -93,33 +94,78 @@ def product(parts: list[Type]) -> Type:
 # ---------------------------------------------------------------------------
 # Terms.  All terms carry their type.  Constructor applications (Con) are
 # always fully applied; Fun/Var applications may be partial.
+#
+# Each term caches its hash, computed once from its children's cached hashes,
+# so hashing is O(1) per node and never recurses.  The hash leaves out the
+# type (fixed by the head and the arguments within a program) and hashes
+# names with crc32, so it does not depend on PYTHONHASHSEED: set iteration
+# order, and every count or trace that follows it, is the same under any
+# seed.  Equality is the generated field-by-field comparison.
 
-@dataclass(frozen=True)
+_NAME_HASH = {}  # name -> crc32 of the name; a pure memo
+
+
+def _name_hash(name: str) -> int:
+    h = _NAME_HASH.get(name)
+    if h is None:
+        h = _NAME_HASH[name] = zlib.crc32(name.encode())
+    return h
+
+
+@dataclass(frozen=True, slots=True)
 class Con:
     name: str
     args: tuple
     type: Type
+    _hash: int = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((1, _name_hash(self.name), self.args)))
+
+    def __hash__(self):
+        return self._hash
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Fun:
     name: str
     args: tuple
     type: Type
+    _hash: int = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((2, _name_hash(self.name), self.args)))
+
+    def __hash__(self):
+        return self._hash
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Var:
     name: str
     args: tuple
     type: Type
+    _hash: int = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((3, _name_hash(self.name), self.args)))
+
+    def __hash__(self):
+        return self._hash
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Pair:
     left: "Term"
     right: "Term"
     type: Type
+    _hash: int = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((4, self.left, self.right)))
+
+    def __hash__(self):
+        return self._hash
 
 
 Term = Union[Con, Fun, Var, Pair]
@@ -238,9 +284,16 @@ class Program:
     table: SymbolTable
     rules: list
     arity: dict = field(default_factory=dict)  # defined name -> nat
+    _by_head: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._by_head = {}
+        for r in self.rules:
+            self._by_head.setdefault(r.lhs.name, []).append(r)
 
     def rules_for(self, name) -> list:
-        return [r for r in self.rules if r.lhs.name == name]
+        """The rules whose left-hand side has head `name`, in program order."""
+        return self._by_head.get(name, [])
 
 
 def make_program(table: SymbolTable, rules: list) -> Program:

@@ -20,12 +20,13 @@ Two modes share one engine:
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .lang import (
     Con, LangError, Pair, Product, Program, Sort, Term, Type, Var,
     is_data_term, spine, subterms, type_order,
 )
+from .parser import print_term
 
 
 class DomainCapExceeded(Exception):
@@ -37,20 +38,32 @@ class SaturationPrecondition(Exception):
 
 
 # ---------------------------------------------------------------------------
-# Abstract values
+# Abstract values.  Hashing is O(1): Base reuses its term's cached hash,
+# PairAV caches one built from its components' hashes, and FunAV's frozenset
+# caches its own.
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Base:
     term: Term  # sort-typed data term
 
+    def __hash__(self):
+        return self.term._hash
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class PairAV:
     left: "AV"
     right: "AV"
+    _hash: int = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.left, self.right)))
+
+    def __hash__(self):
+        return self._hash
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FunAV:
     graph: frozenset  # of (AV, AV) pairs
 
@@ -85,9 +98,10 @@ def geq(a: AV, b: AV) -> bool:
 
 
 def av_key(av: AV):
-    """Total order on abstract values, for canonical display and choices."""
+    """Total order on abstract values, built by printing them.  It is for
+    display, `build_base` and `counting._pick` only; it never orders values
+    that go into a set."""
     if isinstance(av, Base):
-        from .parser import print_term
         return (0, print_term(av.term))
     if isinstance(av, PairAV):
         return (1, av_key(av.left), av_key(av.right))
@@ -95,7 +109,6 @@ def av_key(av: AV):
 
 
 def print_av(av: AV) -> str:
-    from .parser import print_term
     if isinstance(av, Base):
         return print_term(av.term)
     if isinstance(av, PairAV):
@@ -164,7 +177,7 @@ def downset(av: AV, cap: int = 1_000_000) -> list:
                 for a in downset(av.left, cap) for b in downset(av.right, cap)]
     if len(av.graph) > 60 or 2 ** len(av.graph) > cap:
         raise DomainCapExceeded("down-set of a %d-pair graph" % len(av.graph))
-    return [FunAV(s) for s in _subsets(sorted(av.graph, key=lambda p: (av_key(p[0]), av_key(p[1]))))]
+    return [FunAV(s) for s in _subsets(av.graph)]
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +253,9 @@ class SaturationEngine:
         self.base = build_base(program, inputs)
         self.stats = SaturationStats(base_size=len(self.base))
         self.table = {}    # (f, avs) -> set of AV
-        self.deps = {}     # key -> set of keys to re-evaluate when it grows
+        self.deps = {}     # key -> keys to re-evaluate when it grows, in an
+                           # insertion-ordered dict: a set of keys would
+                           # iterate in an order set by PYTHONHASHSEED
         self.queue = deque()
         self.queued = set()
         self.current = None
@@ -339,7 +354,7 @@ class SaturationEngine:
                 raise DomainCapExceeded(
                     "statement table exceeded %d keys" % self.key_cap)
             self.table[key] = set()
-            self.deps[key] = set()
+            self.deps[key] = {}
             self.stats.keys += 1
         if key not in self.queued:
             self.queued.add(key)
@@ -363,11 +378,13 @@ class SaturationEngine:
         self.stats.passes += 1
 
     def _query(self, key):
-        if key not in self.table:
+        vals = self.table.get(key)
+        if vals is None:
             self._enqueue(key)
+            vals = self.table[key]
         if self.current is not None:
-            self.deps[key].add(self.current)
-        return self.table[key]
+            self.deps[key][self.current] = None
+        return vals
 
     # -- statement confirmation --------------------------------------------
 
@@ -406,7 +423,7 @@ class SaturationEngine:
         if isinstance(s, Con):
             combos = [()]
             for a in s.args:
-                vs = sorted(self._subject_values(a, subst), key=av_key)
+                vs = self._subject_values(a, subst)
                 combos = [c + (concrete(v),) for c in combos for v in vs]
             return {Base(Con(s.name, c, s.type)) for c in combos}
         # defined-symbol application: below arity(f) it is a closure value,
@@ -415,7 +432,7 @@ class SaturationEngine:
         arity = self.p.arity[s.name]
         combos = [()]
         for a in s.args:
-            vs = sorted(self._subject_values(a, subst), key=av_key)
+            vs = self._subject_values(a, subst)
             combos = [c + (v,) for c in combos for v in vs]
         out = set()
         for c in combos:

@@ -234,6 +234,18 @@ walk (x::xs) (y::ys) -> walk xs ys
 isnil [] -> true
 isnil (x::xs) -> false
 """)),
+    # two independent choices fed to one call: the order in which the
+    # enumerator combines argument values shows in `run --trace`
+    ("pick_both", _p("""\
+fun start : list => bool * bool
+fun pick : list => bool
+fun both : bool => bool => bool * bool
+rules:
+start cs -> both (pick cs) (pick cs)
+both x y -> (x, y)
+pick (x::xs) -> x
+pick (x::xs) -> pick xs
+""")),
 ]
 
 

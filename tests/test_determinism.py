@@ -1,0 +1,64 @@
+"""Results, counters and traces must not depend on PYTHONHASHSEED.
+
+Each check runs the same work in fresh interpreters under hash seeds 1, 2
+and 3 and requires identical output.
+"""
+
+import os
+import subprocess
+import sys
+
+from corpus import CORPUS
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+SEEDS = (1, 2, 3)
+
+# one parity saturation and one `nondet 2` chain walk at n=2; prints
+# (keys, confirmed, evaluations) of each engine
+COUNTERS = """\
+from consfree import counting
+from consfree.saturate import SaturationEngine, abstract
+from consfree.turing import compile_tm, tm_parity
+
+engines = []
+
+class Recording(SaturationEngine):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        engines.append(self)
+
+p = compile_tm(tm_parity()).program
+cs = counting.bits_term("111111")
+parity = Recording(p, [cs])
+parity.call("start", (abstract(cs),))
+counting.SaturationEngine = Recording
+steps = counting.chain_length_saturate(counting.gen_nondetcount(2), 2)
+print(steps, [(e.stats.keys, e.stats.confirmed, e.stats.evaluations)
+              for e in engines])
+"""
+
+
+def run_under_seeds(argv):
+    outs = []
+    for seed in SEEDS:
+        env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=SRC)
+        res = subprocess.run([sys.executable] + argv, capture_output=True,
+                             text=True, env=env, timeout=120)
+        assert res.returncode == 0, res.stderr
+        outs.append(res.stdout)
+    return outs
+
+
+def test_saturation_counters_do_not_depend_on_hash_seed():
+    outs = run_under_seeds(["-c", COUNTERS])
+    assert outs[0].startswith("7 [(2218, 2218, "), outs[0]
+    assert outs == [outs[0]] * len(SEEDS)
+
+
+def test_run_trace_does_not_depend_on_hash_seed(tmp_path):
+    path = tmp_path / "pick_both.cf"
+    path.write_text(dict(CORPUS)["pick_both"])
+    outs = run_under_seeds(["-m", "consfree.cli", "run", str(path), "0110",
+                            "--trace"])
+    assert outs[0].count("trace: ") > 10, outs[0]
+    assert outs == [outs[0]] * len(SEEDS)

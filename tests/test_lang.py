@@ -151,3 +151,12 @@ def test_inconsistent_arities_rejected():
 
 def test_data_order_first_order_program():
     assert data_order(parse_program(SMALL)) == 0
+
+
+def test_hash_is_cached_and_not_recursive():
+    import consfree.interp  # noqa: F401 -- sets the recursion limit in use
+    from consfree.counting import bits_term
+    deep = bits_term("1" * 100_000)  # 100 000 cons cells deep
+    # compare hashes only: == on terms this deep still recurses
+    assert hash(deep) == hash(bits_term("1" * 100_000))
+    assert hash(deep) != hash(bits_term("1" * 99_999))
