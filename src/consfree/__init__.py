@@ -11,8 +11,11 @@ from .lang import (
 from .parser import ParseError, parse_data_term, parse_program, print_program, print_term
 from .analysis import AnalysisReport, allowed_data_terms, classify
 from .interp import Budget, EvalBudget, EvalResult, EvalStuck, eval_all, eval_deterministic
+# `saturate` the function is not re-exported: as a package attribute it
+# would shadow the submodule, and `import consfree.saturate as m` would bind
+# the function
 from .saturate import (
-    DomainCapExceeded, SaturationEngine, SaturationPrecondition, saturate,
+    DomainCapExceeded, SaturationEngine, SaturationPrecondition,
     saturate_eager,
 )
 from .counting import (

@@ -100,7 +100,8 @@ def product(parts: list[Type]) -> Type:
 # type (fixed by the head and the arguments within a program) and hashes
 # names with crc32, so it does not depend on PYTHONHASHSEED: set iteration
 # order, and every count or trace that follows it, is the same under any
-# seed.  Equality is the generated field-by-field comparison.
+# seed.  Equality (`_term_eq`) compares with an explicit stack, so it does
+# not recurse on term depth either.
 
 _NAME_HASH = {}  # name -> crc32 of the name; a pure memo
 
@@ -110,6 +111,36 @@ def _name_hash(name: str) -> int:
     if h is None:
         h = _NAME_HASH[name] = zlib.crc32(name.encode())
     return h
+
+
+def _term_eq(self, other):
+    """Structural equality of two terms.  Identical subterms are skipped, a
+    class or cached-hash mismatch rejects at once, and the remaining
+    children are compared from an explicit stack, since a bit list is as
+    deep as it is long."""
+    if self is other:
+        return True
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    stack = []
+    a, b = self, other
+    while True:
+        if a._hash != b._hash or (a.type is not b.type and a.type != b.type):
+            return False
+        if a.__class__ is Pair:
+            kids = ((a.left, b.left), (a.right, b.right))
+        elif a.name != b.name or len(a.args) != len(b.args):
+            return False
+        else:
+            kids = zip(a.args, b.args)
+        for x, y in kids:
+            if x is not y:
+                if x.__class__ is not y.__class__:
+                    return False
+                stack.append((x, y))
+        if not stack:
+            return True
+        a, b = stack.pop()
 
 
 @dataclass(frozen=True, slots=True)
@@ -125,6 +156,8 @@ class Con:
     def __hash__(self):
         return self._hash
 
+    __eq__ = _term_eq
+
 
 @dataclass(frozen=True, slots=True)
 class Fun:
@@ -138,6 +171,8 @@ class Fun:
 
     def __hash__(self):
         return self._hash
+
+    __eq__ = _term_eq
 
 
 @dataclass(frozen=True, slots=True)
@@ -153,6 +188,8 @@ class Var:
     def __hash__(self):
         return self._hash
 
+    __eq__ = _term_eq
+
 
 @dataclass(frozen=True, slots=True)
 class Pair:
@@ -166,6 +203,8 @@ class Pair:
 
     def __hash__(self):
         return self._hash
+
+    __eq__ = _term_eq
 
 
 Term = Union[Con, Fun, Var, Pair]

@@ -157,6 +157,31 @@ def test_hash_is_cached_and_not_recursive():
     import consfree.interp  # noqa: F401 -- sets the recursion limit in use
     from consfree.counting import bits_term
     deep = bits_term("1" * 100_000)  # 100 000 cons cells deep
-    # compare hashes only: == on terms this deep still recurses
     assert hash(deep) == hash(bits_term("1" * 100_000))
     assert hash(deep) != hash(bits_term("1" * 99_999))
+
+
+def test_equality_is_not_recursive():
+    import consfree.interp  # noqa: F401 -- sets the recursion limit in use
+    from consfree.counting import bits_term
+    # built separately, so == walks all 30 000 cells, deeper than the limit
+    a, b = bits_term("1" * 30_000), bits_term("1" * 30_000)
+    assert a is not b
+    assert a == b and not a != b
+    assert a != bits_term("1" * 29_999 + "0")
+    assert a != bits_term("1" * 29_999)
+    # the hash leaves out the type, so this one differs only at the bottom
+    # of the walk, in the type of its innermost nil
+    odd = Con("nil", (), Sort("other"))
+    for _ in range(30_000):
+        odd = Con("cons", (Con("true", (), BOOL), odd), LIST)
+    assert hash(odd) == hash(a)
+    assert a != odd and not a == odd
+
+
+def test_equality_against_other_classes():
+    assert cons(TRUE, NIL) == cons(TRUE, NIL)
+    assert TRUE != FALSE
+    assert Con("f", (), BOOL) != Fun("f", (), BOOL)
+    assert Pair(TRUE, NIL, Product(BOOL, LIST)) == Pair(TRUE, NIL, Product(BOOL, LIST))
+    assert TRUE != "true" and TRUE != None  # noqa: E711

@@ -1,7 +1,13 @@
 """The terminating all-results evaluator over finite abstract domains."""
 
+import os
+import subprocess
+import sys
+import types
+
 import pytest
 
+import consfree.saturate as saturate_module
 from consfree import counting
 from consfree.counting import bits_term, gen_nondetcount, mk_call
 from consfree.interp import Budget, eval_all
@@ -12,6 +18,7 @@ from consfree.saturate import (
     SaturationPrecondition, abstract, abstract_match, build_base, concrete,
     downset, geq, interpret_type, saturate, saturate_eager,
 )
+from consfree.turing import compile_tm, tm_parity
 from corpus import CORPUS, PRELUDE
 
 BOOL = Sort("bool")
@@ -186,6 +193,134 @@ def test_statements_dump_marks_confirmed():
     confirmed = [(f, o) for f, avs, o, c in stmts if c]
     assert len(stmts) > len(confirmed) > 0
     assert {print_term(concrete(o)) for _, o in confirmed} == {"true"}
+
+
+# -- the local solver against the plain worklist -----------------------------
+
+def _goal(p, cs):
+    engine = SaturationEngine(p, [cs])
+    return engine.call_data("start", [cs]), engine
+
+
+def _chain_engine(cm, n):
+    engines = []
+
+    class Recording(SaturationEngine):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            engines.append(self)
+
+    saved = counting.SaturationEngine
+    counting.SaturationEngine = Recording
+    try:
+        steps = counting.chain_length_saturate(cm, n)
+    finally:
+        counting.SaturationEngine = saved
+    [engine] = engines
+    return steps, engine
+
+
+def _covers(w, v):
+    """v lies in the down-set of w, with a graph entry (A, O) below every
+    entry (A', O') with A >= A' and O' >= O: the entry that fires on fewer
+    arguments, or yields less, adds nothing when applied."""
+    if isinstance(w, FunAV) and isinstance(v, FunAV):
+        return all(any(_covers(a, a2) and _covers(o2, o) for a2, o2 in w.graph)
+                   for a, o in v.graph)
+    if isinstance(w, PairAV) and isinstance(v, PairAV):
+        return _covers(w.left, v.left) and _covers(w.right, v.right)
+    return w == v
+
+
+def _same_downset(xs, ys):
+    # the worklist also keeps the smaller closure graphs it confirmed from
+    # provisional results, so confirmed sets agree up to their down-sets
+    return (all(any(_covers(y, x) for y in ys) for x in xs)
+            and all(any(_covers(x, y) for x in xs) for y in ys))
+
+
+def _solve_both(monkeypatch, solve):
+    """(result, engine) of the local solver, then of the plain worklist:
+    with no nesting allowed every new key goes on the worklist."""
+    local = solve()
+    with monkeypatch.context() as m:
+        m.setattr(saturate_module, "MAX_NESTED_EVALUATIONS", 0)
+        worklist = solve()
+    return local, worklist
+
+
+def test_local_solver_matches_worklist(monkeypatch):
+    # both engines of a run share the program and the input, so comparing
+    # their tables finds the same term objects
+    parity = compile_tm(tm_parity()).program
+    runs = [("%s %r" % (name, b), lambda p=p, cs=bits_term(b): _goal(p, cs))
+            for name, p in PROGRAMS for b in ("", "1", "01")]
+    cs = bits_term("111111")
+    runs.append(("parity 111111", lambda: _goal(parity, cs)))
+    bincount, nondet = counting.gen_bincount(2, 1, 1), gen_nondetcount(2)
+    inputs = {}
+    monkeypatch.setattr(counting, "make_input",
+                        lambda n: inputs.setdefault(n, bits_term("1" * n)))
+    runs.append(("bin 2 1 1 n=2", lambda: _chain_engine(bincount, 2)))
+    runs.append(("nondet 2 n=2", lambda: _chain_engine(nondet, 2)))
+    for label, solve in runs:
+        (res, local), (ref, worklist) = _solve_both(monkeypatch, solve)
+        assert res == ref, label
+        for key in local.table.keys() & worklist.table.keys():
+            mine, theirs = local.table[key], worklist.table[key]
+            assert mine == theirs or _same_downset(mine, theirs), (label, key)
+        assert local.stats.evaluations <= worklist.stats.evaluations, label
+
+
+def test_stack_safe_under_default_recursion_limit():
+    # importing consfree.interp raises the limit; put the default back, then
+    # saturate an input long enough to reach the nesting bound
+    script = """\
+import sys
+import consfree.saturate as S
+from consfree.counting import bits_term
+from consfree.turing import compile_tm, simulate_tm, tm_parity
+sys.setrecursionlimit(1000)
+
+class Deepest(S.SaturationEngine):
+    deepest = 0
+
+    def _evaluate(self, key):
+        self.deepest = max(self.deepest, self.depth + 1)
+        return super()._evaluate(key)
+
+tm = tm_parity()
+bits = "1011010011"
+cs = bits_term(bits)
+engine = Deepest(compile_tm(tm).program, [cs])
+vals = engine.call("start", (S.abstract(cs),))
+assert engine.deepest == S.MAX_NESTED_EVALUATIONS, engine.deepest
+assert {S.concrete(v).name == "true" for v in vals} == {simulate_tm(tm, bits)[0]}
+print("ok", engine.stats.keys, engine.stats.evaluations)
+"""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    res = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True, env=env, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.startswith("ok"), res.stdout
+
+
+def test_package_attribute_is_the_submodule():
+    import consfree
+    assert isinstance(saturate_module, types.ModuleType)
+    assert consfree.saturate is saturate_module
+    assert saturate_module.saturate is saturate
+
+
+def test_domain_cap_in_nested_evaluation_leaves_engine_consistent():
+    p = compile_tm(tm_parity()).program
+    cs = bits_term("1011")
+    engine = SaturationEngine(p, [cs], key_cap=50)
+    with pytest.raises(DomainCapExceeded):
+        engine.call("start", (abstract(cs),))
+    assert engine.current is None and engine.depth == 0
+    assert len(engine.table) == 50
 
 
 # -- resource guards and preconditions --------------------------------------
