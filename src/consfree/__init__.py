@@ -14,10 +14,7 @@ from .interp import Budget, EvalBudget, EvalResult, EvalStuck, eval_all, eval_de
 # `saturate` the function is not re-exported: as a package attribute it
 # would shadow the submodule, and `import consfree.saturate as m` would bind
 # the function
-from .saturate import (
-    DomainCapExceeded, SaturationEngine, SaturationPrecondition,
-    saturate_eager,
-)
+from .saturate import DomainCapExceeded, SaturationEngine, SaturationPrecondition
 from .counting import (
     CountingModule, gen_bincount, gen_lincount, gen_nondetcount, gen_polycount,
 )

@@ -1,26 +1,24 @@
 """Command line interface.
 
 Exit codes: 0 success, 1 check failure or input error, 2 usage,
-3 resource limit (domain cap / evaluation budget)."""
+3 resource limit (domain cap / evaluation budget / recursion depth)."""
 
 from __future__ import annotations
 
 import argparse
 import sys
-import time
 
 from .analysis import classify
 from .counting import (
-    bits_term, gen_bincount, gen_lincount, gen_nondetcount, gen_polycount,
+    gen_bincount, gen_lincount, gen_nondetcount, gen_polycount,
 )
 from .interp import Budget, EvalBudget, eval_all
 from .lang import LangError, spine
 from .parser import ParseError, parse_data_term, parse_program, print_term
 from .saturate import (
-    DomainCapExceeded, SaturationEngine, SaturationPrecondition, abstract,
-    print_av,
+    DomainCapExceeded, SaturationEngine, SaturationPrecondition, print_av,
 )
-from .turing import TMError, compile_tm, parse_tm, tm_contains_11, tm_parity
+from .turing import TMError, compile_tm, parse_tm
 
 ENTRY = "start"
 
@@ -70,14 +68,6 @@ def _build_parser():
     p.add_argument("-o", "--output", default=None)
     p.add_argument("--seed-erratum", choices=("paper", "corrected"),
                    default="corrected")
-
-    p = sub.add_parser("bench",
-                       help="statement-count scaling of a compiled machine")
-    p.add_argument("--machine", choices=("parity", "contains11"),
-                   default="parity")
-    p.add_argument("--sizes", default="2,4,6,8")
-    p.add_argument("--domain-cap", type=int, default=500_000)
-    fmt(p)
 
     return ap
 
@@ -197,34 +187,12 @@ def cmd_gen_count(args):
     return 0
 
 
-def cmd_bench(args):
-    tm = tm_parity() if args.machine == "parity" else tm_contains_11()
-    comp = compile_tm(tm)
-    p = comp.program
-    sizes = [int(s) for s in args.sizes.replace(",", " ").split()]
-    recs = []
-    for n in sizes:
-        cs = bits_term("1" * n)
-        t0 = time.time()
-        engine = SaturationEngine(p, [cs], mode="demand",
-                                  domain_cap=args.domain_cap)
-        engine.call(comp.entry, (abstract(cs),))
-        dt = time.time() - t0
-        recs += [("n", str(n)),
-                 ("confirmed", str(engine.stats.confirmed)),
-                 ("keys", str(engine.stats.keys)),
-                 ("seconds", "%.3f" % dt)]
-    _emit(recs, args.format)
-    return 0
-
-
 _COMMANDS = {
     "check": cmd_check,
     "run": cmd_run,
     "saturate": cmd_saturate,
     "compile-tm": cmd_compile_tm,
     "gen-count": cmd_gen_count,
-    "bench": cmd_bench,
 }
 
 
@@ -236,7 +204,7 @@ def main(argv=None) -> int:
             OSError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 1
-    except (DomainCapExceeded, EvalBudget) as e:
+    except (DomainCapExceeded, EvalBudget, RecursionError) as e:
         print("resource limit: %s" % e, file=sys.stderr)
         return 3
 

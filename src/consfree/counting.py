@@ -235,10 +235,6 @@ def gen_bincount(k: int, a: int, b: int) -> CountingModule:
         lambda n: exp2(k, a * n ** b) - 1, "exp2^%d(%d*n^%d)-1" % (k, a, b))
 
 
-def str_type(t: Type) -> str:
-    return str(t)
-
-
 # ---------------------------------------------------------------------------
 # nondetcount: non-deterministic counting via index functions
 
@@ -280,7 +276,7 @@ def gen_nondetcount(k: int) -> CountingModule:
             "fun gth%d : list => %s => %s => bool => bool => bool" % (j, sigma, sigma),
         ]
         if j >= 1:
-            decls.append("fun zclos%d : list => %s" % (j, str_type(rep)))
+            decls.append("fun zclos%d : list => %s" % (j, rep))
         rules += [
             "anyidx%d cs -> anyfrom%d cs (seed%d cs)" % (j, j, j),
             "anyfrom%d cs i -> i" % j,

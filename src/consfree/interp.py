@@ -1,9 +1,13 @@
 """Executable call-by-value semantics.
 
-eval_all enumerates every derivable value of a ground term under a fair
-budget (iterative deepening over the number of rule applications along a
-derivation), so that enlarging the budget never removes results.  It is
-the oracle the saturation evaluator is validated against.
+eval_all enumerates the values of a ground term by one depth-first search
+bounded by ``max_depth`` rule applications along each derivation.  A term
+whose search space was exhausted is tabled with all of its values and is
+never searched again, at any depth.  ``max_steps`` caps the total number of
+rule applications: once it is reached, every further rule is treated as
+out of depth, and the values found so far come back marked incomplete.
+Enlarging either bound never removes results.  It is the oracle the
+saturation evaluator is validated against.
 """
 
 from __future__ import annotations
@@ -86,7 +90,7 @@ class _Search:
         self.trace = trace
         self.steps = 0
         self.done = {}   # term -> frozenset of values (search space exhausted)
-        self.memo = {}   # (term, fuel) -> (frozenset, exhausted), per pass
+        self.memo = {}   # (term, fuel) -> (frozenset, exhausted)
 
     def note(self, value):
         if self.trace is not None and is_data_term(value):
@@ -159,12 +163,10 @@ class _Search:
             if not ok:
                 continue
             matched = True
-            if fuel <= 0:
+            if fuel <= 0 or self.steps >= self.budget.max_steps:
                 exhausted = False
                 continue
             self.steps += 1
-            if self.steps > self.budget.max_steps:
-                raise EvalBudget()
             reduct = apply_term(substitute(rule.rhs, subst), values[arity:])
             vs, ex = self.go(reduct, fuel - 1)
             out |= vs
@@ -180,18 +182,7 @@ def eval_all(p: Program, term: Term, budget: Budget = None,
     """All values derivable from a ground term, with a completeness flag."""
     budget = budget or Budget()
     search = _Search(p, budget, trace)
-    fuel = 1
-    results = frozenset()
-    complete = False
-    while True:
-        search.memo = {}
-        try:
-            results, complete = search.go(term, fuel)
-        except EvalBudget:
-            return EvalResult(results, False, search.steps)
-        if complete or fuel >= budget.max_depth:
-            break
-        fuel = min(fuel * 2, budget.max_depth)
+    results, complete = search.go(term, budget.max_depth)
     return EvalResult(results, complete, search.steps)
 
 

@@ -538,8 +538,3 @@ def saturate(p: Program, fname: str, inputs, mode: str = "demand",
     """All data terms derivable from f applied to the given data inputs."""
     engine = SaturationEngine(p, inputs, mode=mode, domain_cap=domain_cap)
     return engine.call_data(fname, inputs)
-
-
-def saturate_eager(p: Program, fname: str, inputs,
-                   domain_cap: int = 200_000) -> set:
-    return saturate(p, fname, inputs, mode="eager", domain_cap=domain_cap)

@@ -1,5 +1,9 @@
 """Command line interface: exit codes, record output, round trips."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from consfree.cli import main
@@ -121,6 +125,24 @@ def test_saturate_domain_cap_exit_3(tmp_path, capsys):
     assert "resource limit" in capsys.readouterr().err
 
 
+def test_deep_searches_exit_without_traceback(tmp_path):
+    # a derivation depth bound of 100 000 and a 30 000-bit input: either
+    # the command finishes or it reports a resource limit on one line
+    loop = write(tmp_path, "loop.cf", dict(CORPUS)["loop_with_escape"])
+    parity = write(tmp_path, "parity.cf", dict(CORPUS)["parity"])
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    for argv in (["run", "--budget-depth", "100000", loop, "1"],
+                 ["saturate", parity, "1" * 30_000]):
+        res = subprocess.run([sys.executable, "-m", "consfree.cli"] + argv,
+                             capture_output=True, text=True, env=env,
+                             timeout=300)
+        assert res.returncode in (0, 3), (argv[0], res.stderr[-2000:])
+        assert "Traceback" not in res.stdout + res.stderr, argv[0]
+        assert len(res.stderr.splitlines()) <= 1, argv[0]
+
+
 def test_gen_count_check_roundtrip(tmp_path, capsys):
     out = str(tmp_path / "nd1.cf")
     assert main(["gen-count", "nondet", "1", "-o", out]) == 0
@@ -147,12 +169,3 @@ def test_saturate_eager_mode(tmp_path, capsys):
                  "--format", "records"]) == 0
     rec = records(capsys.readouterr().out)
     assert ("result", "true") in rec and ("result", "false") in rec
-
-
-def test_bench_runs(capsys):
-    assert main(["bench", "--sizes", "1,2", "--format", "records"]) == 0
-    rec = records(capsys.readouterr().out)
-    ns = [v for k, v in rec if k == "n"]
-    assert ns == ["1", "2"]
-    confirmed = [int(v) for k, v in rec if k == "confirmed"]
-    assert confirmed[0] <= confirmed[1]

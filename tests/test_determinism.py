@@ -13,10 +13,12 @@ from corpus import CORPUS
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 SEEDS = (1, 2, 3)
 
-# one parity saturation and one `nondet 2` chain walk at n=2; prints
-# (keys, confirmed, evaluations) of each engine
+# one parity saturation and one `nondet 2` chain walk at n=2, printing
+# (keys, confirmed, evaluations) of each engine, then the rule applications
+# of one enumeration of the parity machine
 COUNTERS = """\
 from consfree import counting
+from consfree.interp import Budget, eval_all
 from consfree.saturate import SaturationEngine, abstract
 from consfree.turing import compile_tm, tm_parity
 
@@ -35,6 +37,9 @@ counting.SaturationEngine = Recording
 steps = counting.chain_length_saturate(counting.gen_nondetcount(2), 2)
 print(steps, [(e.stats.keys, e.stats.confirmed, e.stats.evaluations)
               for e in engines])
+res = eval_all(p, counting.mk_call(p, "start", [counting.bits_term("10110")]),
+               Budget(max_depth=1 << 20, max_steps=10 ** 8))
+print("eval_all steps", res.steps_used, res.complete)
 """
 
 
@@ -52,6 +57,8 @@ def run_under_seeds(argv):
 def test_saturation_counters_do_not_depend_on_hash_seed():
     outs = run_under_seeds(["-c", COUNTERS])
     assert outs[0].startswith("7 [(2218, 2218, "), outs[0]
+    # one depth-bounded search: iterative deepening took 8993 steps here
+    assert "\neval_all steps 1899 True\n" in outs[0], outs[0]
     assert outs == [outs[0]] * len(SEEDS)
 
 

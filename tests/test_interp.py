@@ -3,13 +3,13 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from consfree.counting import bits_term, gen_lincount, mk_call
+from consfree.counting import bits_term, gen_lincount, make_input, mk_call
 from consfree.interp import (
     Budget, EvalStuck, eval_all, eval_deterministic, match_pattern,
 )
 from consfree.lang import Con, Pair, Product, Sort, is_data_term
 from consfree.parser import parse_data_term, parse_program, print_term
-from corpus import CORPUS, PRELUDE
+from corpus import CORPUS, PRELUDE, bitset_probe_programs
 
 BOOL = Sort("bool")
 LIST = Sort("list")
@@ -18,6 +18,9 @@ FALSE = Con("false", (), BOOL)
 
 PROGRAMS = [(name, parse_program(src)) for name, src in CORPUS]
 BY_NAME = dict(PROGRAMS)
+# calls whose enumeration never completes: the non-terminating bit reads of
+# the level-1 non-deterministic counter
+PROBES = [(p, n) for _, p, _, ns in bitset_probe_programs() for n in ns]
 
 
 def start(p, bits):
@@ -114,6 +117,35 @@ def test_budget_monotone(idx, bits, d1, d2):
     small = eval_all(p, start(p, bits), Budget(max_depth=lo, max_steps=50_000))
     big = eval_all(p, start(p, bits), Budget(max_depth=hi, max_steps=50_000))
     assert small.results <= big.results, name
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(0, len(CORPUS) + len(PROBES) - 1),
+       st.text(alphabet="01", max_size=4), st.integers(1, 40),
+       st.integers(1, 300), st.integers(1, 300))
+def test_step_cap_monotone(idx, bits, depth, s1, s2):
+    if idx < len(CORPUS):
+        p = PROGRAMS[idx][1]
+        term = start(p, bits)
+    else:
+        p, n = PROBES[idx - len(CORPUS)]
+        term = mk_call(p, "go", [make_input(n)])
+    lo, hi = sorted((s1, s2))
+    small = eval_all(p, term, Budget(max_depth=depth, max_steps=lo))
+    big = eval_all(p, term, Budget(max_depth=depth, max_steps=hi))
+    assert small.steps_used <= lo and big.steps_used <= hi
+    assert small.results <= big.results
+
+
+def test_binding_step_cap_returns_a_subset():
+    p = BY_NAME["suffix_tail_swap"]
+    full = eval_all(p, start(p, "0110"), Budget(max_depth=40))
+    capped = eval_all(p, start(p, "0110"),
+                      Budget(max_depth=40, max_steps=20))
+    assert names(full) == {"true", "false"} and full.complete
+    assert full.steps_used > 20
+    assert names(capped) == {"false"}
+    assert not capped.complete and capped.steps_used == 20
 
 
 def test_trace_sees_only_data_terms():

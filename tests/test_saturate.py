@@ -16,7 +16,7 @@ from consfree.parser import parse_program, print_term
 from consfree.saturate import (
     Base, DomainCapExceeded, FunAV, PairAV, SaturationEngine,
     SaturationPrecondition, abstract, abstract_match, build_base, concrete,
-    downset, geq, interpret_type, saturate, saturate_eager,
+    downset, geq, interpret_type, saturate,
 )
 from consfree.turing import compile_tm, tm_parity
 from corpus import CORPUS, PRELUDE
@@ -128,14 +128,14 @@ def test_demand_matches_eager():
         for b in bits:
             cs = bits_term(b)
             assert saturate(p, "start", [cs]) == \
-                saturate_eager(p, "start", [cs]), (name, b)
+                saturate(p, "start", [cs], mode="eager"), (name, b)
 
 
 def test_demand_matches_eager_higher_order():
     p = BY_NAME["const_closure"]
     cs = bits_term("1")
     assert saturate(p, "start", [cs], domain_cap=10 ** 9) == \
-        saturate_eager(p, "start", [cs], domain_cap=10 ** 9)
+        saturate(p, "start", [cs], mode="eager", domain_cap=10 ** 9)
 
 
 def test_demand_materializes_fewer_statements():
