@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Union
+from typing import Optional, Union
 
 
 class LangError(Exception):
@@ -233,10 +233,6 @@ def free_vars(s: Term) -> set:
     elif isinstance(s, Pair):
         out = free_vars(s.left) | free_vars(s.right)
     return out
-
-
-def is_ground(s: Term) -> bool:
-    return not free_vars(s)
 
 
 def is_data_term(s: Term) -> bool:

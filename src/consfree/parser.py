@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 from .lang import (
     Arrow, Con, LangError, Pair, Product, Program, RawApp, RawPair, Rule,
-    Sort, SymbolTable, Term, Type, check_rule, is_data_term, make_program,
-    spine, type_check,
+    Sort, SymbolTable, Term, Type, check_rule, free_vars, is_data_term,
+    make_program, spine, type_check,
 )
 
 
@@ -303,13 +303,8 @@ def _parse_rule(cur: _Cursor, table: SymbolTable) -> Rule:
         letter, msg = violations[0]
         raise ParseError("rule violates condition (%s): %s" % (letter, msg),
                          arrow_tok.pos)
-    used = free_vars_of_rule(lhs, rhs)
+    used = free_vars(lhs) | free_vars(rhs)
     return Rule(lhs, rhs, {v: var_types[v] for v in used})
-
-
-def free_vars_of_rule(lhs, rhs):
-    from .lang import free_vars
-    return free_vars(lhs) | free_vars(rhs)
 
 
 def _infer_pattern_types(table, raw_lhs, pos) -> dict:

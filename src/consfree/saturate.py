@@ -7,14 +7,16 @@ fixpoint; the data results of the goal call are read off the table.
 
 Two modes share one engine:
 
-* eager    -- the literal algorithm: every statement over the fully
-              enumerated domains is materialized up front, and variable
-              subjects contribute their whole down-set.  Reference mode,
-              only feasible for small base sets and low data order.
 * demand   -- only statements reachable from the goal are materialized,
               and only maximal abstract values are propagated.  Down-set
               slack is recovered at application sites, which compare
               function-graph arguments up to the superset order.
+* eager    -- the paper's literal algorithm, kept as the reference: demand
+              mode plus two things.  Every statement over the fully
+              enumerated domains is seeded when the engine is built, and
+              the values of a variable subject or a closure are closed
+              under down-sets (`_close`).  Only feasible for small base
+              sets and low data order.
 
 The fixpoint is solved locally, top-down (Le Charlier & Van Hentenryck
 1992; Fecht & Seidl 1999): a statement key is evaluated when it is first
@@ -30,9 +32,10 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
+from .analysis import allowed_data_terms, is_cons_free
 from .lang import (
-    Con, LangError, Pair, Product, Program, Sort, Term, Type, Var,
-    is_data_term, spine, subterms, type_order,
+    Con, LangError, Pair, Product, Program, Sort, Term, Type, Var, spine,
+    type_order,
 )
 from .parser import print_term
 
@@ -130,44 +133,26 @@ def print_av(av: AV) -> str:
 # Base set and type interpretation
 
 def build_base(p: Program, inputs) -> list:
-    """Input data subterms plus rhs data subterms, canonically sorted."""
-    out = set()
-    for v in inputs:
-        out |= {t for t in subterms(v) if is_data_term(t)}
-    for rule in p.rules:
-        out |= {t for t in subterms(rule.rhs) if is_data_term(t)}
-    return sorted(out, key=lambda t: av_key(abstract(t)))
-
-
-def domain_size(t: Type, base: list, cap: int) -> int:
-    if isinstance(t, Sort):
-        return sum(1 for d in base if d.type == t)
-    if isinstance(t, Product):
-        n = domain_size(t.left, base, cap) * domain_size(t.right, base, cap)
-    else:
-        pairs = domain_size(t.dom, base, cap) * domain_size(t.cod, base, cap)
-        if pairs > 60:
-            raise DomainCapExceeded(
-                "2^%d elements at type %s" % (pairs, t))
-        n = 2 ** pairs
-    if n > cap:
-        raise DomainCapExceeded("%d elements at type %s (cap %d)" % (n, t, cap))
-    return n
+    """The subterm-closure bound of `allowed_data_terms`, canonically sorted."""
+    return sorted(allowed_data_terms(p, inputs), key=lambda t: av_key(abstract(t)))
 
 
 def interpret_type(t: Type, base: list, cap: int = 1_000_000) -> list:
-    """Fully enumerated abstract domain for a type."""
-    domain_size(t, base, cap)
+    """Fully enumerated abstract domain for a type: a sort's base terms,
+    the pairs of a product's domains, every graph below an arrow's full one."""
     if isinstance(t, Sort):
         return [Base(d) for d in base if d.type == t]
     if isinstance(t, Product):
-        return [PairAV(a, b)
-                for a in interpret_type(t.left, base, cap)
-                for b in interpret_type(t.right, base, cap)]
-    pairs = [(a, b)
-             for a in interpret_type(t.dom, base, cap)
-             for b in interpret_type(t.cod, base, cap)]
-    return [FunAV(frozenset(s)) for s in _subsets(pairs)]
+        return [PairAV(a, b) for a, b in _pairs(t, t.left, t.right, base, cap)]
+    return downset(FunAV(frozenset(_pairs(t, t.dom, t.cod, base, cap))), cap)
+
+
+def _pairs(t, left, right, base, cap) -> list:
+    ls, rs = interpret_type(left, base, cap), interpret_type(right, base, cap)
+    if len(ls) * len(rs) > cap:
+        raise DomainCapExceeded(
+            "%d pairs at type %s (cap %d)" % (len(ls) * len(rs), t, cap))
+    return [(a, b) for a in ls for b in rs]
 
 
 def _subsets(items):
@@ -261,8 +246,7 @@ class SaturationEngine:
                  domain_cap: int = 200_000, key_cap: int = 2_000_000):
         if mode not in ("demand", "eager"):
             raise ValueError("mode must be 'demand' or 'eager'")
-        cf = _cons_free_quick(program)
-        if not cf:
+        if not is_cons_free(program)[0]:
             raise SaturationPrecondition("program is not cons-free")
         self.p = program
         self.mode = mode
@@ -279,6 +263,8 @@ class SaturationEngine:
         self.current = None  # key under evaluation, the dependant of queries
         self.depth = 0       # evaluations nested on the Python stack
         self._domains = {}
+        if mode == "eager":
+            self._seed_all()
 
     # -- domains ----------------------------------------------------------
 
@@ -302,8 +288,6 @@ class SaturationEngine:
         if type_order(cod) != 0:
             raise SaturationPrecondition(
                 "result type %s of %r has order > 0" % (cod, fname))
-        if self.mode == "eager":
-            self._seed_all()
         return self._solve((fname, tuple(avs)))
 
     def eval_call(self, fname: str, avs) -> set:
@@ -318,8 +302,6 @@ class SaturationEngine:
             raise SaturationPrecondition(
                 "%r takes at most %d arguments, got %d"
                 % (fname, len(arg_types), len(avs)))
-        if self.mode == "eager":
-            self._seed_all()
         if len(avs) >= self.p.arity[fname]:
             return self._solve((fname, avs))
         # the closure's graph ranges over fixed domains, so the second read
@@ -344,9 +326,6 @@ class SaturationEngine:
     # -- worklist ----------------------------------------------------------
 
     def _seed_all(self):
-        if getattr(self, "_seeded", False):
-            return
-        self._seeded = True
         for f, typ in self.p.table.defined.items():
             arg_types, cod = spine(typ)
             if type_order(cod) != 0:
@@ -445,9 +424,7 @@ class SaturationEngine:
         """All claims confirmed (now) for the subject s under subst."""
         if isinstance(s, Var):
             if not s.args:
-                if self.mode == "eager":
-                    return set(downset(subst[s.name], self.cap))
-                return {subst[s.name]}
+                return self._close(subst[s.name])
             vals = {subst[s.name]}
             for a in s.args:
                 vals = self._apply_values(vals, self._subject_values(a, subst))
@@ -491,11 +468,15 @@ class SaturationEngine:
                     out.add(o)
         return out
 
-    def _partial_values(self, f, avs, arg_types) -> set:
-        gmax = self._gmax(f, avs, arg_types)
+    def _close(self, av) -> set:
+        """The values a variable subject or a closure stands for: every
+        value below av in eager mode, av alone in demand mode."""
         if self.mode == "eager":
-            return set(downset(FunAV(gmax), self.cap))
-        return {FunAV(gmax)}
+            return set(downset(av, self.cap))
+        return {av}
+
+    def _partial_values(self, f, avs, arg_types) -> set:
+        return self._close(FunAV(self._gmax(f, avs, arg_types)))
 
     def _gmax(self, f, avs, arg_types) -> frozenset:
         """Maximal graph of the closure f avs (with fewer than arity(f)
@@ -509,12 +490,8 @@ class SaturationEngine:
                 for w in self._query((f, avs + (a,))):
                     graph.add((a, w))
             else:
-                if self.mode == "eager":
-                    for w in downset(FunAV(self._gmax(f, avs + (a,), arg_types)),
-                                     self.cap):
-                        graph.add((a, w))
-                else:
-                    graph.add((a, FunAV(self._gmax(f, avs + (a,), arg_types))))
+                for w in self._partial_values(f, avs + (a,), arg_types):
+                    graph.add((a, w))
         return frozenset(graph)
 
 
@@ -523,11 +500,6 @@ def _result_type(typ, n):
     for _ in range(n):
         t = t.cod
     return t
-
-
-def _cons_free_quick(p: Program) -> bool:
-    from .analysis import is_cons_free
-    return is_cons_free(p)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -246,6 +246,21 @@ both x y -> (x, y)
 pick (x::xs) -> x
 pick (x::xs) -> pick xs
 """)),
+    # a closure two arguments short of its arity: its graph maps each
+    # argument to a nested closure graph, not to a result
+    ("nested_closure", _p("""\
+sort unit
+con u : unit
+fun start : list => bool
+fun pick3 : bool => unit => unit => bool
+fun app : (unit => unit => bool) => bool
+rules:
+start [] -> false
+start (x::xs) -> app (pick3 x)
+pick3 a b c -> a
+pick3 a b c -> false
+app g -> g u u
+""")),
 ]
 
 
