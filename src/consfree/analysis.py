@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .lang import (
-    Arrow, Con, Pair, Program, Term, Var, data_order, is_data_term,
+    Arrow, Con, Pair, Program, Term, Var, data_order, is_data_term, nodes,
     subterms, type_order,
 )
 
@@ -102,11 +102,10 @@ def classify(p: Program) -> AnalysisReport:
 
 
 def allowed_data_terms(p: Program, inputs) -> set:
-    """Subterm-closure bound: input data subterms plus rhs data constants.
-    Every data term in any derivation of a cons-free program must lie here."""
+    """The base set B: the data subterms of the inputs and of the right-hand
+    sides, built in one pass over their nodes.  B is subterm-closed, and in
+    a cons-free program every data term of every derivation lies in it."""
     allowed = set()
-    for v in inputs:
-        allowed |= {t for t in subterms(v) if is_data_term(t)}
-    for rule in p.rules:
-        allowed |= {t for t in subterms(rule.rhs) if is_data_term(t)}
+    for s in [*inputs, *(rule.rhs for rule in p.rules)]:
+        allowed.update(t for t in nodes(s) if is_data_term(t))
     return allowed

@@ -101,7 +101,8 @@ def product(parts: list[Type]) -> Type:
 # names with crc32, so it does not depend on PYTHONHASHSEED: set iteration
 # order, and every count or trace that follows it, is the same under any
 # seed.  Equality (`_term_eq`) compares with an explicit stack, so it does
-# not recurse on term depth either.
+# not recurse on term depth either.  Con and Pair also cache whether they
+# are data (`_data`), from their children's flags; Fun and Var never are.
 
 _NAME_HASH = {}  # name -> crc32 of the name; a pure memo
 
@@ -149,9 +150,16 @@ class Con:
     args: tuple
     type: Type
     _hash: int = field(init=False, compare=False, repr=False)
+    _data: bool = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_hash", hash((1, _name_hash(self.name), self.args)))
+        for a in self.args:
+            if not a._data:
+                object.__setattr__(self, "_data", False)
+                break
+        else:
+            object.__setattr__(self, "_data", True)
 
     def __hash__(self):
         return self._hash
@@ -165,6 +173,7 @@ class Fun:
     args: tuple
     type: Type
     _hash: int = field(init=False, compare=False, repr=False)
+    _data = False
 
     def __post_init__(self):
         object.__setattr__(self, "_hash", hash((2, _name_hash(self.name), self.args)))
@@ -181,6 +190,7 @@ class Var:
     args: tuple
     type: Type
     _hash: int = field(init=False, compare=False, repr=False)
+    _data = False
 
     def __post_init__(self):
         object.__setattr__(self, "_hash", hash((3, _name_hash(self.name), self.args)))
@@ -197,9 +207,11 @@ class Pair:
     right: "Term"
     type: Type
     _hash: int = field(init=False, compare=False, repr=False)
+    _data: bool = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_hash", hash((4, self.left, self.right)))
+        object.__setattr__(self, "_data", self.left._data and self.right._data)
 
     def __hash__(self):
         return self._hash
@@ -210,38 +222,32 @@ class Pair:
 Term = Union[Con, Fun, Var, Pair]
 
 
+def nodes(s: Term):
+    """s and its subterms in pre-order, left to right, from an explicit
+    stack; the head of an application is not a subterm.  A subterm that
+    occurs twice is visited twice."""
+    stack = [s]
+    while stack:
+        t = stack.pop()
+        yield t
+        if t.__class__ is Pair:
+            stack += (t.right, t.left)
+        else:
+            stack += reversed(t.args)
+
+
 def subterms(s: Term) -> set:
     """Reflexive subterm closure; the head of an application is excluded."""
-    out = {s}
-    if isinstance(s, (Con, Fun, Var)):
-        for a in s.args:
-            out |= subterms(a)
-    elif isinstance(s, Pair):
-        out |= subterms(s.left)
-        out |= subterms(s.right)
-    return out
+    return set(nodes(s))
 
 
 def free_vars(s: Term) -> set:
-    if isinstance(s, Var):
-        out = {s.name}
-    else:
-        out = set()
-    if isinstance(s, (Con, Fun, Var)):
-        for a in s.args:
-            out |= free_vars(a)
-    elif isinstance(s, Pair):
-        out = free_vars(s.left) | free_vars(s.right)
-    return out
+    return {t.name for t in nodes(s) if t.__class__ is Var}
 
 
 def is_data_term(s: Term) -> bool:
     """Ground term built only from constructors and pairs."""
-    if isinstance(s, Con):
-        return all(is_data_term(a) for a in s.args)
-    if isinstance(s, Pair):
-        return is_data_term(s.left) and is_data_term(s.right)
-    return False
+    return s._data
 
 
 def apply_term(s: Term, extra: tuple) -> Term:
@@ -439,9 +445,7 @@ def check_rule(table: SymbolTable, lhs: Term, rhs: Term) -> list:
         bad = _non_pattern(pat)
         if bad is not None:
             violations.append(("b", bad))
-    counts = {}
-    _var_counts(lhs, counts)
-    for v, n in counts.items():
+    for v, n in _var_counts(lhs).items():
         if n > 1:
             violations.append(("c", "variable %r occurs %d times in the left-hand side" % (v, n)))
     extra = free_vars(rhs) - free_vars(lhs)
@@ -455,31 +459,21 @@ def check_rule(table: SymbolTable, lhs: Term, rhs: Term) -> list:
 
 
 def _non_pattern(pat):
-    if isinstance(pat, Fun):
-        return "defined symbol %r occurs in a pattern" % pat.name
-    if isinstance(pat, Var):
-        if pat.args:
-            return "applied variable %r in a pattern" % pat.name
-        return None
-    if isinstance(pat, Con):
-        for a in pat.args:
-            bad = _non_pattern(a)
-            if bad is not None:
-                return bad
-        return None
-    bad = _non_pattern(pat.left)
-    return bad if bad is not None else _non_pattern(pat.right)
+    """The leftmost reason why pat is not a pattern, or None."""
+    for t in nodes(pat):
+        if t.__class__ is Fun:
+            return "defined symbol %r occurs in a pattern" % t.name
+        if t.__class__ is Var and t.args:
+            return "applied variable %r in a pattern" % t.name
+    return None
 
 
-def _var_counts(s, counts):
-    if isinstance(s, Var):
-        counts[s.name] = counts.get(s.name, 0) + 1
-    if isinstance(s, (Con, Fun, Var)):
-        for a in s.args:
-            _var_counts(a, counts)
-    elif isinstance(s, Pair):
-        _var_counts(s.left, counts)
-        _var_counts(s.right, counts)
+def _var_counts(s) -> dict:
+    counts = {}
+    for t in nodes(s):
+        if t.__class__ is Var:
+            counts[t.name] = counts.get(t.name, 0) + 1
+    return counts
 
 
 # ---------------------------------------------------------------------------
@@ -496,10 +490,13 @@ def data_order(p: Program) -> int:
 
 
 def is_value(p: Program, s: Term) -> bool:
-    if isinstance(s, Con):
-        return all(is_value(p, a) for a in s.args)
-    if isinstance(s, Pair):
+    """Data, an under-applied function whose arguments are values, or a pair
+    of values.  Constructor arguments have order-0 types, so a value under a
+    constructor is data and only the pairs and closures above it recurse."""
+    if s._data:
+        return True
+    if s.__class__ is Pair:
         return is_value(p, s.left) and is_value(p, s.right)
-    if isinstance(s, Fun):
+    if s.__class__ is Fun:
         return len(s.args) < p.arity[s.name] and all(is_value(p, a) for a in s.args)
     return False

@@ -110,8 +110,8 @@ def geq(a: AV, b: AV) -> bool:
 
 def av_key(av: AV):
     """Total order on abstract values, built by printing them.  It is for
-    display, `build_base` and `counting._pick` only; it never orders values
-    that go into a set."""
+    display, the domains `interpret_type` enumerates and `counting._pick`
+    only; it never orders values that go into a set."""
     if isinstance(av, Base):
         return (0, print_term(av.term))
     if isinstance(av, PairAV):
@@ -132,16 +132,17 @@ def print_av(av: AV) -> str:
 # ---------------------------------------------------------------------------
 # Base set and type interpretation
 
-def build_base(p: Program, inputs) -> list:
-    """The subterm-closure bound of `allowed_data_terms`, canonically sorted."""
-    return sorted(allowed_data_terms(p, inputs), key=lambda t: av_key(abstract(t)))
+# the engine's base set B, under the name the benchmark's tracer wraps
+build_base = allowed_data_terms
 
 
-def interpret_type(t: Type, base: list, cap: int = 1_000_000) -> list:
+def interpret_type(t: Type, base, cap: int = 1_000_000) -> list:
     """Fully enumerated abstract domain for a type: a sort's base terms,
-    the pairs of a product's domains, every graph below an arrow's full one."""
+    the pairs of a product's domains, every graph below an arrow's full one.
+    A sort's terms are listed in `av_key` order, so every domain has a
+    canonical order."""
     if isinstance(t, Sort):
-        return [Base(d) for d in base if d.type == t]
+        return sorted((Base(d) for d in base if d.type == t), key=av_key)
     if isinstance(t, Product):
         return [PairAV(a, b) for a, b in _pairs(t, t.left, t.right, base, cap)]
     return downset(FunAV(frozenset(_pairs(t, t.dom, t.cod, base, cap))), cap)

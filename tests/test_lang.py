@@ -1,5 +1,7 @@
 """Types, terms, rule conditions and program assembly."""
 
+import sys
+
 import pytest
 
 from consfree.lang import (
@@ -115,6 +117,19 @@ def test_values():
     assert not is_value(p, apply_term(choose, (TRUE, FALSE)))  # fully applied
 
 
+def test_values_in_pairs():
+    p = parse_program(SMALL)
+    choose = Fun("choose", (), p.table.defined["choose"])
+    closure = apply_term(choose, (TRUE,))
+    full = apply_term(choose, (TRUE, FALSE))
+    assert is_value(p, Pair(closure, TRUE, Product(closure.type, BOOL)))
+    assert is_value(p, Pair(TRUE, Pair(FALSE, closure, Product(BOOL, closure.type)),
+                            Product(BOOL, Product(BOOL, closure.type))))
+    assert not is_value(p, Pair(full, TRUE, Product(BOOL, BOOL)))
+    assert not is_value(p, apply_term(choose, (full,)))  # argument not a value
+    assert not is_data_term(Pair(closure, TRUE, Product(closure.type, BOOL)))
+
+
 def test_check_rule_conditions():
     p = parse_program(SMALL)
     table = p.table
@@ -141,6 +156,20 @@ def test_check_rule_conditions():
     # (e) types agree
     assert "e" in [l for l, _ in
                    check_rule(table, Fun("choose", (x, y), BOOL), NIL)]
+
+
+def test_non_pattern_reports_leftmost_violation():
+    p = parse_program(SMALL)
+    x = Var("x", (), BOOL)
+    applied = Var("g", (TRUE,), BOOL)
+    call = Fun("choose", (x, TRUE), BOOL)
+    # the applied variable sits left of (and deeper than) the defined symbol
+    left = Pair(Pair(TRUE, applied, Product(BOOL, BOOL)), call,
+                Product(Product(BOOL, BOOL), BOOL))
+    lhs = Fun("choose", (left, Fun("choose", (), BOOL)), BOOL)
+    v = check_rule(p.table, lhs, TRUE)
+    assert v[:2] == [("b", "applied variable 'g' in a pattern"),
+                     ("b", "defined symbol 'choose' occurs in a pattern")]
 
 
 def test_inconsistent_arities_rejected():
@@ -185,3 +214,19 @@ def test_equality_against_other_classes():
     assert Con("f", (), BOOL) != Fun("f", (), BOOL)
     assert Pair(TRUE, NIL, Product(BOOL, LIST)) == Pair(TRUE, NIL, Product(BOOL, LIST))
     assert TRUE != "true" and TRUE != None  # noqa: E711
+
+
+def test_term_walks_do_not_recurse():
+    from consfree.counting import bits_term
+    deep = bits_term("10" * 50_000)  # 100 000 cons cells deep
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        assert is_data_term(deep)
+        subs = subterms(deep)
+        assert free_vars(deep) == set()
+    finally:
+        sys.setrecursionlimit(limit)
+    assert len(subs) == 100_003  # every suffix, nil, true and false
+    x = Var("x", (), BOOL)
+    assert not is_data_term(Con("cons", (x, deep), LIST))
