@@ -1,7 +1,8 @@
 """Command line interface.
 
 Exit codes: 0 success, 1 check failure or input error, 2 usage,
-3 resource limit (domain cap / evaluation budget / recursion depth)."""
+3 resource limit (domain cap / recursion depth).  The step budget of
+`run` is not an error: the search stops and reports `complete: no`."""
 
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ from .analysis import classify
 from .counting import (
     gen_bincount, gen_lincount, gen_nondetcount, gen_polycount,
 )
-from .interp import Budget, EvalBudget, eval_all
+from .interp import Budget, eval_all
 from .lang import LangError, spine
 from .parser import ParseError, parse_data_term, parse_program, print_term
 from .saturate import (
@@ -23,8 +24,21 @@ from .turing import TMError, compile_tm, parse_tm
 ENTRY = "start"
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # one line, without the usage text argparse prints by default
+        self.exit(2, "%s: error: %s\n" % (self.prog, message))
+
+
+def _positive(text):
+    if not (text.isdigit() and int(text) > 0):
+        raise argparse.ArgumentTypeError(
+            "expected a positive integer, got %r" % text)
+    return int(text)
+
+
 def _build_parser():
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="consfree",
         description="Tools for cons-free functional programs.")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -40,8 +54,8 @@ def _build_parser():
     p = sub.add_parser("run", help="enumerate values of start on an input")
     p.add_argument("path")
     p.add_argument("inputs", nargs="*", metavar="input")
-    p.add_argument("--budget-depth", type=int, default=60)
-    p.add_argument("--budget-steps", type=int, default=500_000)
+    p.add_argument("--budget-depth", type=_positive, default=60)
+    p.add_argument("--budget-steps", type=_positive, default=500_000)
     p.add_argument("--trace", action="store_true",
                    help="print every data value observed during evaluation")
     fmt(p)
@@ -50,7 +64,7 @@ def _build_parser():
                        help="terminating all-results evaluation of start")
     p.add_argument("path")
     p.add_argument("inputs", nargs="*", metavar="input")
-    p.add_argument("--domain-cap", type=int, default=200_000)
+    p.add_argument("--domain-cap", type=_positive, default=200_000)
     p.add_argument("--mode", choices=("demand", "eager"), default="demand")
     p.add_argument("--dump-statements", action="store_true")
     fmt(p)
@@ -141,10 +155,9 @@ def cmd_saturate(args):
     recs += sorted(engine.stats.to_records().items())
     _emit(recs, args.format)
     if args.dump_statements:
-        for f, avs, o, confirmed in engine.statements():
+        for f, avs, o, mark in engine.statements():
             print("statement: %s %s ~ %s [%s]"
-                  % (f, " ".join(print_av(a) for a in avs), print_av(o),
-                     "confirmed" if confirmed else "unconfirmed"))
+                  % (f, " ".join(print_av(a) for a in avs), print_av(o), mark))
     return 0
 
 
@@ -204,7 +217,7 @@ def main(argv=None) -> int:
             OSError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 1
-    except (DomainCapExceeded, EvalBudget, RecursionError) as e:
+    except (DomainCapExceeded, RecursionError) as e:
         print("resource limit: %s" % e, file=sys.stderr)
         return 3
 

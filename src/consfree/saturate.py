@@ -317,12 +317,24 @@ class SaturationEngine:
         return {concrete(av) for av in self.call(fname, avs)}
 
     def statements(self):
-        """One (subject, claim, confirmed) triple per table statement."""
+        """(f, arguments, claim, mark) per table statement.  A claim of an
+        order-0 type lists its whole domain, each value marked "confirmed"
+        or "unconfirmed".  A claim of a higher type lists only its maximal
+        confirmed values, marked "maximal": each stands for its down-set,
+        and that type's whole domain may be past the cap."""
         for (f, avs), confirmed in sorted(
                 self.table.items(), key=lambda kv: (kv[0][0], [av_key(a) for a in kv[0][1]])):
             cod = _result_type(self.p.table.defined[f], len(avs))
-            for o in self.domain(cod):
-                yield (f, avs, o, o in confirmed)
+            if type_order(cod) == 0:
+                for o in self.domain(cod):
+                    yield (f, avs, o, "confirmed" if o in confirmed else "unconfirmed")
+                continue
+            tops = []
+            for o in confirmed:
+                if not any(geq(w, o) for w in tops):
+                    tops = [w for w in tops if not geq(o, w)] + [o]
+            for o in sorted(tops, key=av_key):
+                yield (f, avs, o, "maximal")
 
     # -- worklist ----------------------------------------------------------
 

@@ -132,12 +132,15 @@ def parse_tm(text: str) -> TuringMachine:
 
 def counting_module_for_bound(bound: str, seed_erratum: str = "corrected") -> CountingModule:
     parts = bound.split()
-    if parts == ["lin"]:
-        return gen_lincount(seed_erratum)
-    if len(parts) == 3 and parts[0] == "poly":
-        return gen_polycount(int(parts[1]), int(parts[2]))
-    if len(parts) == 4 and parts[0] == "bin":
-        return gen_bincount(int(parts[1]), int(parts[2]), int(parts[3]))
+    try:
+        if parts == ["lin"]:
+            return gen_lincount(seed_erratum)
+        if len(parts) == 3 and parts[0] == "poly":
+            return gen_polycount(int(parts[1]), int(parts[2]))
+        if len(parts) == 4 and parts[0] == "bin":
+            return gen_bincount(int(parts[1]), int(parts[2]), int(parts[3]))
+    except ValueError as e:  # a parameter that is not a number, or too small
+        raise TMError("bad bound %r: %s" % (bound, e)) from None
     raise TMError("bad bound %r (want: lin | poly A B | bin K A B)" % bound)
 
 

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from consfree.cli import main
-from consfree.counting import gen_lincount
+from consfree.counting import gen_bincount, gen_lincount
 from corpus import CORPUS, PRELUDE
 
 CHOOSE = dict(CORPUS)["choose"]
@@ -111,6 +111,53 @@ def test_saturate_dump_statements(tmp_path, capsys):
     path = write(tmp_path, "choose.cf", CHOOSE)
     assert main(["saturate", path, "1", "--dump-statements"]) == 0
     assert "statement:" in capsys.readouterr().out
+
+
+def test_saturate_dump_statements_function_claims(tmp_path, capsys):
+    # `bin 2 1 1` has keys whose claims are closures over a 128-pair graph;
+    # the dump lists their maximal confirmed values, not the whole domain
+    src = gen_bincount(2, 1, 1).source.replace(
+        "rules:", "fun start : list => bool\nrules:")
+    src += "start cs -> zero2 cs (pred2 cs (seed2 cs))\n"
+    path = write(tmp_path, "bin.cf", src)
+    assert main(["saturate", path, "11", "--dump-statements"]) == 0
+    out, err = capsys.readouterr()
+    marks = {line.rpartition(" ")[2] for line in out.splitlines()
+             if line.startswith("statement: ")}
+    assert marks == {"[confirmed]", "[unconfirmed]", "[maximal]"}
+    assert err == ""
+
+
+def test_saturate_long_input(tmp_path, capsys):
+    # 8000 bits: building the base set and parsing the input do not recurse
+    # on the length of the list
+    path = write(tmp_path, "parity.cf", dict(CORPUS)["parity"])
+    bits = "110" * 2666 + "10"  # 5333 ones
+    assert main(["saturate", path, bits, "--format", "records"]) == 0
+    rec = records(capsys.readouterr().out)
+    assert rec[0] == ("result", "true") and rec[1][0] != "result"
+
+
+def test_bad_numbers_are_one_line_errors(tmp_path, capsys):
+    choose = write(tmp_path, "choose.cf", CHOOSE)
+    cases = [
+        (["run", choose, "1", "--budget-depth", "0"], 2),
+        (["run", choose, "1", "--budget-steps", "-1"], 2),
+        (["saturate", choose, "1", "--domain-cap", "0"], 2),
+        (["saturate", choose, "1", "--domain-cap", "-5"], 2),
+    ]
+    for i, bound in enumerate(("bin x 1 1", "bin 0 1 1", "poly 0 1")):
+        tm = write(tmp_path, "m%d.tm" % i,
+                   PARITY_TM.replace("bound: lin", "bound: " + bound))
+        cases.append((["compile-tm", tm], 1))
+    for argv, code in cases:
+        try:
+            rc = main(argv)
+        except SystemExit as e:  # argparse usage errors
+            rc = e.code
+        err = capsys.readouterr().err
+        assert rc == code, (argv, err)
+        assert len(err.splitlines()) == 1 and "Traceback" not in err, (argv, err)
 
 
 def test_saturate_domain_cap_exit_3(tmp_path, capsys):

@@ -190,7 +190,7 @@ def test_statements_dump_marks_confirmed():
     engine = SaturationEngine(p, [cs])
     engine.call_data("start", [cs])
     stmts = list(engine.statements())
-    confirmed = [(f, o) for f, avs, o, c in stmts if c]
+    confirmed = [(f, o) for f, avs, o, mark in stmts if mark == "confirmed"]
     assert len(stmts) > len(confirmed) > 0
     assert {print_term(concrete(o)) for _, o in confirmed} == {"true"}
 
