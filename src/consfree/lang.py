@@ -232,7 +232,7 @@ def nodes(s: Term):
         yield t
         if t.__class__ is Pair:
             stack += (t.right, t.left)
-        else:
+        elif t.args:
             stack += reversed(t.args)
 
 

@@ -329,7 +329,7 @@ class SaturationEngine:
                 for o in self.domain(cod):
                     yield (f, avs, o, "confirmed" if o in confirmed else "unconfirmed")
                 continue
-            tops = []
+            tops = []  # the confirmed values no other confirmed value is above
             for o in confirmed:
                 if not any(geq(w, o) for w in tops):
                     tops = [w for w in tops if not geq(o, w)] + [o]
