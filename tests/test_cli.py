@@ -129,8 +129,8 @@ def test_saturate_dump_statements_function_claims(tmp_path, capsys):
 
 
 def test_saturate_long_input(tmp_path, capsys):
-    # 8000 bits: building the base set and parsing the input do not recurse
-    # on the length of the list
+    # 8000 bits: building the base set and checking data-ness do not
+    # recurse on the length of the list
     path = write(tmp_path, "parity.cf", dict(CORPUS)["parity"])
     bits = "110" * 2666 + "10"  # 5333 ones
     assert main(["saturate", path, bits, "--format", "records"]) == 0
