@@ -7,8 +7,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .lang import (
-    Arrow, Con, Pair, Program, Term, Var, data_order, is_data_term, nodes,
-    subterms, type_order,
+    Arrow, Con, Pair, Program, Term, Var, data_order, is_data_term, subterms,
+    type_order,
 )
 
 
@@ -103,9 +103,24 @@ def classify(p: Program) -> AnalysisReport:
 
 def allowed_data_terms(p: Program, inputs) -> set:
     """The base set B: the data subterms of the inputs and of the right-hand
-    sides, built in one pass over their nodes.  B is subterm-closed, and in
-    a cons-free program every data term of every derivation lies in it."""
+    sides, added in pre-order, left to right.  B is subterm-closed, and in
+    a cons-free program every data term of every derivation lies in it.
+
+    The walk uses an explicit stack and does not enter a data term already
+    in B, whose subterms are in B too.  So building B is linear even when
+    inputs share equal subterms that were built apart: each of those costs
+    one comparison at its root, not one per node."""
     allowed = set()
     for s in [*inputs, *(rule.rhs for rule in p.rules)]:
-        allowed.update(t for t in nodes(s) if is_data_term(t))
+        stack = [s]
+        while stack:
+            t = stack.pop()
+            if t._data:
+                if t in allowed:
+                    continue
+                allowed.add(t)
+            if t.__class__ is Pair:
+                stack += (t.right, t.left)
+            elif t.args:
+                stack += reversed(t.args)
     return allowed

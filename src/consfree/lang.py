@@ -326,8 +326,12 @@ class Program:
     rules: list
     arity: dict = field(default_factory=dict)  # defined name -> nat
     _by_head: dict = field(init=False, repr=False, compare=False)
+    # the saturation engine's generated evaluators, by mode and symbol,
+    # compiled when a symbol is first evaluated
+    _plans: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        self._plans = {}
         self._by_head = {}
         for r in self.rules:
             self._by_head.setdefault(r.lhs.name, []).append(r)
@@ -390,12 +394,32 @@ def type_check(table: SymbolTable, raw: Raw, var_types: dict,
 
 
 def _check(table, raw, var_types):
-    if isinstance(raw, RawPair):
-        l = _check(table, raw.left, var_types)
-        r = _check(table, raw.right, var_types)
-        return Pair(l, r, Product(l.type, r.type))
+    """Type-check raw children first, from an explicit stack, since a list
+    is as deep as it is long.  Errors come in the order a left-to-right,
+    children-first walk meets them."""
+    done = []  # checked terms of the finished children, in order
+    stack = [(raw, False)]
+    while stack:
+        r, ready = stack.pop()
+        pair = isinstance(r, RawPair)
+        if not ready:
+            stack.append((r, True))
+            kids = (r.left, r.right) if pair else r.args
+            stack += [(k, False) for k in reversed(kids)]
+            continue
+        n = 2 if pair else len(r.args)
+        args = done[len(done) - n:]
+        del done[len(done) - n:]
+        if pair:
+            l, rt = args
+            done.append(Pair(l, rt, Product(l.type, rt.type)))
+        else:
+            done.append(_check_app(table, r, args, var_types))
+    return done[0]
+
+
+def _check_app(table, raw, args, var_types):
     name = raw.head
-    args = [_check(table, a, var_types) for a in raw.args]
     if name in table.constructors:
         typ = table.constructors[name]
         arg_types, cod = spine(typ)

@@ -5,7 +5,11 @@ pairs componentwise, and function graphs (sets of argument/result pairs)
 for arrows.  Claims `f A1 ... Am ~ O` are confirmed monotonically to a
 fixpoint; the data results of the goal call are read off the table.
 
-Two modes share one engine:
+A key `(f, avs)` is evaluated by a generated evaluator, one per defined
+symbol and mode (`compile_plan`): the source of one Python function that
+matches all of f's rules against the arguments and evaluates their
+right-hand sides, compiled when f is first evaluated and kept on the
+`Program`.  Two modes are two variants of that plan:
 
 * demand   -- only statements reachable from the goal are materialized,
               and only maximal abstract values are propagated.  Down-set
@@ -14,9 +18,9 @@ Two modes share one engine:
 * eager    -- the paper's literal algorithm, kept as the reference: demand
               mode plus two things.  Every statement over the fully
               enumerated domains is seeded when the engine is built, and
-              the values of a variable subject or a closure are closed
-              under down-sets (`_close`).  Only feasible for small base
-              sets and low data order.
+              the plan closes the values of a higher-order variable or a
+              closure under down-sets.  Only feasible for small base sets
+              and low data order.
 
 The fixpoint is solved locally, top-down (Le Charlier & Van Hentenryck
 1992; Fecht & Seidl 1999): a statement key is evaluated when it is first
@@ -31,6 +35,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import product
 
 from .analysis import allowed_data_terms, is_cons_free
 from .lang import (
@@ -99,6 +104,8 @@ def concrete(av: AV) -> Term:
 
 
 def geq(a: AV, b: AV) -> bool:
+    if a is b:
+        return True
     if isinstance(a, Base) and isinstance(b, Base):
         return a == b
     if isinstance(a, PairAV) and isinstance(b, PairAV):
@@ -175,35 +182,289 @@ def downset(av: AV, cap: int = 1_000_000) -> list:
 
 
 # ---------------------------------------------------------------------------
-# Abstract pattern matching
+# Rule plans: one generated evaluator per defined symbol
+#
+# The rules are fixed before the fixpoint runs, so they are specialised once
+# (staging, the partial-evaluation technique of Jones, Gomard & Sestoft 1993).
+# `compile_plan` writes the source of one function `ev(engine, avs) -> set`
+# for all the rules of a symbol and compiles it.  A rule's patterns become
+# class and name tests on the arguments that bind each variable to a local,
+# and its right-hand side becomes straight-line code that queries the
+# engine in the order the rules' semantics fixes: arguments left to right,
+# every argument's set built before their product, the first argument
+# outermost, and the right of a pair only when its left has a value.  The
+# order of queries also follows the iteration order of each set of values,
+# which depends on the operations that built the set, so every set is built
+# one fixed way: a comprehension for a pair, `set()` and `|=` per argument
+# combination for a call, `|=` per rule for the result.  The counters pinned
+# in `tests/test_determinism.py` hold the plans to that.
+#
+# Only identifiers and integers made here go into the source.  Symbols,
+# types and ground terms enter as constants `K<i>` of the function's
+# namespace, since a program's identifiers may hold `'` or be Python
+# keywords.  The code stays flat (one statement per pattern node and per
+# right-hand-side node, loops never nested in loops), so no term size runs
+# into Python's limits on nested blocks, indentation or parentheses.
 
-def abstract_match(patterns, avs) -> list:
-    """All substitutions (at most one: patterns are linear) mapping the
-    pattern variables to abstract values with pattern*subst == value."""
-    subst = {}
-    for pat, av in zip(patterns, avs):
-        if not _amatch(pat, av, subst):
-            return []
-    return [subst]
+_ONE, _SET = "one", "set"  # a subject's values: one value, or a set of them
 
 
-def _amatch(pat, av, subst):
-    if isinstance(pat, Var):
-        subst[pat.name] = av
-        return True
-    if isinstance(pat, Con):
-        if not isinstance(av, Base):
-            return False
-        d = av.term
-        if not isinstance(d, Con) or d.name != pat.name:
-            return False
-        return all(_amatch(p, abstract(a), subst)
-                   for p, a in zip(pat.args, d.args))
-    if isinstance(pat, Pair):
-        return (isinstance(av, PairAV)
-                and _amatch(pat.left, av.left, subst)
-                and _amatch(pat.right, av.right, subst))
-    return False
+def apply_values(funs, arg_values) -> set:
+    """Apply confirmed function values to confirmed argument values.
+    A graph entry (A, O) fires when some argument value dominates A."""
+    args = list(arg_values)
+    out = set()
+    for g in funs:
+        if not isinstance(g, FunAV):
+            raise LangError("applying a non-function abstract value")
+        for a, o in g.graph:
+            for v in args:
+                if geq(v, a):
+                    out.add(o)
+                    break
+    return out
+
+
+def compile_plan(p: Program, f: str, mode: str):
+    """The evaluator of f's rules: `ev(engine, avs)` returns the values
+    confirmed now for the key (f, avs), where avs holds at least arity(f)
+    values.  In eager mode the plan closes the values of higher-order
+    variables and of closures under down-sets."""
+    return _Plan(p, mode == "eager").build(f)
+
+
+def _iterable(kind, x) -> str:
+    return x if kind is _SET else "(%s,)" % x
+
+
+class _Plan:
+    """Writes and compiles the evaluator of one symbol's rules."""
+
+    def __init__(self, p: Program, eager: bool):
+        self.p = p
+        self.eager = eager
+        self.env = {"Base": Base, "PairAV": PairAV, "FunAV": FunAV,
+                    "abstract": abstract, "ap": apply_values,
+                    "downset": downset, "product": product}
+        self.consts = {}   # (class, object) -> name in self.env
+        self.uses = set()  # engine methods the code calls
+        self.count = 0
+
+    def const(self, obj) -> str:
+        key = (obj.__class__, obj)
+        name = self.consts.get(key)
+        if name is None:
+            name = self.consts[key] = "K%d" % len(self.consts)
+            self.env[name] = obj
+        return name
+
+    def fresh(self, prefix: str) -> str:
+        self.count += 1
+        return "%s%d" % (prefix, self.count)
+
+    def build(self, f: str):
+        k = self.p.arity[f]
+        over = len(spine(self.p.table.defined[f])[0]) > k
+        body = []
+        for rule in self.p.rules_for(f):
+            body += self.rule(rule, over)
+        head = ["def ev(engine, avs):", "    out = set()"]
+        head += ["    a%d = avs[%d]" % (i, i) for i in range(k)]
+        if over:  # keys may carry arguments past the rules' own
+            head.append("    extra = avs[%d:]" % k)
+        fetch = {"q": "_query", "gm": "_gmax", "pv": "_partial_values"}
+        head += ["    %s = engine.%s" % (v, fetch[v]) for v in sorted(self.uses)]
+        src = "\n".join(head + body + ["    return out", ""])
+        exec(compile(src, "<plan>", "exec"), self.env)
+        return self.env["ev"]
+
+    # -- one rule -------------------------------------------------------------
+
+    def rule(self, rule, over) -> list:
+        """The lines of one rule: the guards that match its patterns, then
+        its right-hand side, inside a `while True` that a failed guard
+        leaves by `break`."""
+        self.var_types = rule.var_types
+        self.vars = {}    # variable -> (local, whether it holds an AV)
+        self.nodes = {}   # pattern node -> (local, whether it holds an AV)
+        self.avs = {}     # term local -> local holding its AV
+        self.used = set()  # variables used outside a right-hand Con
+        stack = [rule.rhs]
+        while stack:
+            t = stack.pop()
+            if t.__class__ is Pair:
+                stack += (t.left, t.right)
+            elif t.__class__ is not Con:
+                stack += t.args
+                if t.__class__ is Var:
+                    self.used.add(t.name)
+        self.match_lines, self.prologue, self.lines = [], [], []
+        for i, pat in enumerate(rule.lhs.args):
+            self.match(pat, "a%d" % i, True)
+        guarded = any(line.startswith("if ") for line in self.match_lines)
+        self.indent = "        " if guarded else "    "
+        self.guard = None
+        kind, x = self.subject(rule.rhs)
+        if kind is _ONE:
+            x = "{%s}" % x
+        if over:
+            r = self.fresh("r")
+            self.emit("%s = %s" % (r, x), "for e in extra:",
+                      "    %s = ap(%s, (e,))" % (r, r))
+            x = r
+        self.emit("out |= %s" % x)
+        pre = [self.indent + line for line in self.match_lines + self.prologue]
+        if not guarded:
+            return pre + self.lines
+        return ["    while True:"] + pre + self.lines + ["        break"]
+
+    def emit(self, *block):
+        """Append a statement (a line and the indented lines of its body)
+        under the current guard."""
+        indent = self.indent
+        if self.guard is not None:
+            self.lines.append(indent + "if %s:" % self.guard)
+            indent += "    "
+        self.lines += [indent + line for line in block]
+
+    # -- patterns -------------------------------------------------------------
+
+    def match(self, pat, loc, at_av):
+        """Guards and bindings that match pat against the value in loc: an
+        abstract value if at_av, else a data term."""
+        cls = pat.__class__
+        if cls is Var:
+            self.vars[pat.name] = (loc, at_av)
+            return
+        self.nodes[pat] = (loc, at_av)
+        if cls is Pair:
+            if at_av:
+                self.match_lines.append("if %s.__class__ is not PairAV: break" % loc)
+            self.sub(pat.left, "%s.left" % loc, at_av)
+            self.sub(pat.right, "%s.right" % loc, at_av)
+            return
+        term = loc + ".term" if at_av else loc
+        test = "%s.__class__ is not Base or " % loc if at_av else ""
+        if pat.args and pat._data:  # a ground pattern: one comparison
+            test += "%s != %s" % (term, self.const(pat))
+        else:
+            test += "%s.name != %s" % (term, self.const(pat.name))
+        self.match_lines.append("if %s: break" % test)
+        if pat._data:
+            return
+        if at_av:
+            term = self.fresh("t")
+            self.match_lines.append("%s = %s.term" % (term, loc))
+        for j, a in enumerate(pat.args):
+            self.sub(a, "%s.args[%d]" % (term, j), False)
+
+    def sub(self, pat, expr, at_av):
+        if pat.__class__ is Var and pat.name not in self.used:
+            return
+        t = self.fresh("t")
+        self.match_lines.append("%s = %s" % (t, expr))
+        self.match(pat, t, at_av)
+
+    def av(self, loc, at_av, typ) -> str:
+        """A local holding the abstract value of what loc holds."""
+        if at_av:
+            return loc
+        v = self.avs.get(loc)
+        if v is None:
+            v = self.avs[loc] = self.fresh("v")
+            wrap = "abstract" if isinstance(typ, Product) else "Base"
+            self.prologue.append("%s = %s(%s)" % (v, wrap, loc))
+        return v
+
+    # -- right-hand sides -----------------------------------------------------
+
+    def subject(self, s):
+        """Emit the code for s; returns (_ONE, a local or constant holding
+        its only value) or (_SET, a local holding the set of its values)."""
+        cls = s.__class__
+        if s._data:  # ground data, built once
+            return _ONE, self.const(abstract(s))
+        if cls is Con:  # in a cons-free program, a subterm of the left-hand side
+            loc, at_av = self.nodes[s]
+            return _ONE, self.av(loc, at_av, s.type)
+        if cls is Var:
+            typ = self.var_types[s.name]
+            v = self.av(*self.vars[s.name], typ)
+            if not s.args:
+                if self.eager and type_order(typ) > 0:
+                    r = self.fresh("r")
+                    self.emit("%s = set(downset(%s, engine.cap))" % (r, v))
+                    return _SET, r
+                return _ONE, v
+            r, funs = self.fresh("r"), "(%s,)" % v
+            for a in s.args:
+                self.emit("%s = ap(%s, %s)" % (r, funs, self.values(a)))
+                funs = r
+            return _SET, r
+        if cls is Pair:
+            return self.pair(s)
+        return self.call(s)
+
+    def values(self, s) -> str:
+        """An iterable over the values of s."""
+        return _iterable(*self.subject(s))
+
+    def pair(self, s):
+        lk, left = self.subject(s.left)
+        if lk is _ONE:
+            rk, right = self.subject(s.right)
+            r = self.fresh("r")
+            if rk is _ONE:
+                self.emit("%s = PairAV(%s, %s)" % (r, left, right))
+                return _ONE, r
+            self.emit("%s = {PairAV(x, y) for x, y in product((%s,), %s)}"
+                      % (r, left, right))
+            return _SET, r
+        # the right is evaluated only when the left has a value: a flag,
+        # set outside every guard, guards each statement of the right
+        g, outer = self.fresh("g"), self.guard
+        self.lines.append(self.indent + "%s = %sbool(%s)" % (
+            g, "" if outer is None else outer + " and ", left))
+        self.guard = g
+        right = self.values(s.right)
+        self.guard = outer
+        r = self.fresh("r")
+        self.emit("%s = {PairAV(x, y) for x, y in product(%s, %s)} if %s else set()"
+                  % (r, left, right, g))
+        return _SET, r
+
+    def call(self, s):
+        """A defined-symbol application: from arity(f) arguments on it
+        reduces and each result is a separate value; below it, it is a
+        closure."""
+        args = [self.subject(a) for a in s.args]
+        f, r = self.const(s.name), self.fresh("r")
+        if all(kind is _ONE for kind, _ in args):
+            key, loop = "(%s)" % "".join(x + ", " for _, x in args), None
+        else:
+            key = "c"
+            loop = "for c in product(%s):" % ", ".join(
+                _iterable(kind, x) for kind, x in args)
+        if len(s.args) >= self.p.arity[s.name]:
+            self.uses.add("q")
+            vals = "q((%s, %s))" % (f, key)
+        else:
+            arg_types = self.const(tuple(spine(self.p.table.defined[s.name])[0]))
+            if self.eager:
+                self.uses.add("pv")
+                vals = "pv(%s, %s, %s)" % (f, key, arg_types)
+            else:
+                self.uses.add("gm")
+                if loop is None:
+                    self.emit("%s = FunAV(gm(%s, %s, %s))" % (r, f, key, arg_types))
+                    return _ONE, r
+                vals = "{FunAV(gm(%s, %s, %s))}" % (f, key, arg_types)
+        if loop is None:
+            self.emit("%s = set(%s)" % (r, vals))
+        else:
+            self.emit("%s = set()" % r)
+            self.emit(loop, "    %s |= %s" % (r, vals))
+        return _SET, r
 
 
 # ---------------------------------------------------------------------------
@@ -212,10 +473,10 @@ def _amatch(pat, av, subst):
 # A new key is solved in place, nested inside the evaluation that queried it,
 # while fewer than this many evaluations are nested; deeper new keys go on the
 # worklist instead, so the nesting does not grow with the input.  One level
-# costs 4 to 6 Python frames (_query, _evaluate, _eval_key and the walk over
-# the rule's right-hand side, measured on the compiled TM programs and the
-# counting chains), so 40 levels take about 240 frames, well below Python's
-# default recursion limit of 1000.
+# costs 4 Python frames (_query, _evaluate, _eval_key and the generated
+# evaluator), and 5 when the query comes from a closure's graph (_gmax),
+# measured on the compiled TM programs and the counting chains; 40 levels
+# take about 200 frames, well below Python's default recursion limit of 1000.
 MAX_NESTED_EVALUATIONS = 40
 
 
@@ -264,6 +525,7 @@ class SaturationEngine:
         self.current = None  # key under evaluation, the dependant of queries
         self.depth = 0       # evaluations nested on the Python stack
         self._domains = {}
+        self._plans = program._plans.setdefault(mode, {})  # symbol -> ev
         if mode == "eager":
             self._seed_all()
 
@@ -420,76 +682,18 @@ class SaturationEngine:
         # keys carry at least arity(f) arguments, so every rule applies to a
         # prefix and any remaining arguments are fed to the resulting graphs
         f, avs = key
-        n = len(avs)
-        out = set()
-        for rule in self.p.rules_for(f):
-            k = len(rule.lhs.args)
-            if k > n:
-                continue
-            for subst in abstract_match(rule.lhs.args, avs[:k]):
-                vals = self._subject_values(rule.rhs, subst)
-                for extra in avs[k:]:
-                    vals = self._apply_values(vals, [extra])
-                out |= vals
-        return out
-
-    def _subject_values(self, s: Term, subst: dict) -> set:
-        """All claims confirmed (now) for the subject s under subst."""
-        if isinstance(s, Var):
-            if not s.args:
-                return self._close(subst[s.name])
-            vals = {subst[s.name]}
-            for a in s.args:
-                vals = self._apply_values(vals, self._subject_values(a, subst))
-            return vals
-        if isinstance(s, Pair):
-            return {PairAV(l, r)
-                    for l in self._subject_values(s.left, subst)
-                    for r in self._subject_values(s.right, subst)}
-        if isinstance(s, Con):
-            combos = [()]
-            for a in s.args:
-                vs = self._subject_values(a, subst)
-                combos = [c + (concrete(v),) for c in combos for v in vs]
-            return {Base(Con(s.name, c, s.type)) for c in combos}
-        # defined-symbol application: below arity(f) it is a closure value,
-        # from arity(f) on it reduces and each result is a separate value
-        arg_types, _ = spine(self.p.table.defined[s.name])
-        arity = self.p.arity[s.name]
-        combos = [()]
-        for a in s.args:
-            vs = self._subject_values(a, subst)
-            combos = [c + (v,) for c in combos for v in vs]
-        out = set()
-        for c in combos:
-            if len(c) >= arity:
-                out |= self._query((s.name, c))
-            else:
-                out |= self._partial_values(s.name, c, arg_types)
-        return out
-
-    def _apply_values(self, funs, arg_values) -> set:
-        """Apply confirmed function values to confirmed argument values.
-        A graph entry (A, O) fires when some argument value dominates A."""
-        args = list(arg_values)
-        out = set()
-        for g in funs:
-            if not isinstance(g, FunAV):
-                raise LangError("applying a non-function abstract value")
-            for a, o in g.graph:
-                if any(geq(v, a) for v in args):
-                    out.add(o)
-        return out
-
-    def _close(self, av) -> set:
-        """The values a variable subject or a closure stands for: every
-        value below av in eager mode, av alone in demand mode."""
-        if self.mode == "eager":
-            return set(downset(av, self.cap))
-        return {av}
+        ev = self._plans.get(f)
+        if ev is None:
+            ev = self._plans[f] = compile_plan(self.p, f, self.mode)
+        return ev(self, avs)
 
     def _partial_values(self, f, avs, arg_types) -> set:
-        return self._close(FunAV(self._gmax(f, avs, arg_types)))
+        """The values of the closure f avs: its maximal graph, and in eager
+        mode every graph below it."""
+        g = FunAV(self._gmax(f, avs, arg_types))
+        if self.mode == "eager":
+            return set(downset(g, self.cap))
+        return {g}
 
     def _gmax(self, f, avs, arg_types) -> frozenset:
         """Maximal graph of the closure f avs (with fewer than arity(f)

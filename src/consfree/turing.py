@@ -8,6 +8,11 @@ initial tape, the symbol written at t-1 (if the head was at q), or the
 cell at (t-1, q).  Final states absorb, moving left, so the run can be
 probed at the counter's maximum value.  The entry point `start cs`
 returns true iff the machine accepts within the counting module's range.
+
+A machine's `bound:` line picks the counting module: `lin`, `poly A B`,
+`bin K A B` or `nondet K` (`counting_module_for_bound`).  A `nondet K`
+module's bit reads loop unless the representation read is genuine, so
+only the saturating evaluator decides the programs compiled with it.
 """
 
 from __future__ import annotations
@@ -17,7 +22,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .counting import (
-    PRELUDE, CountingModule, gen_bincount, gen_lincount, gen_polycount,
+    PRELUDE, CountingModule, gen_bincount, gen_lincount, gen_nondetcount,
+    gen_polycount,
 )
 from .lang import Program
 from .parser import parse_program
@@ -90,7 +96,7 @@ def parse_tm(text: str) -> TuringMachine:
         start: even
         accept: accept
         reject: reject
-        bound: lin            (or: poly A B / bin K A B)
+        bound: lin            (or: poly A B / bin K A B / nondet K)
         transitions:
         even 0 -> even 0 R
         ...
@@ -139,9 +145,12 @@ def counting_module_for_bound(bound: str, seed_erratum: str = "corrected") -> Co
             return gen_polycount(int(parts[1]), int(parts[2]))
         if len(parts) == 4 and parts[0] == "bin":
             return gen_bincount(int(parts[1]), int(parts[2]), int(parts[3]))
+        if len(parts) == 2 and parts[0] == "nondet":
+            return gen_nondetcount(int(parts[1]))
     except ValueError as e:  # a parameter that is not a number, or too small
         raise TMError("bad bound %r: %s" % (bound, e)) from None
-    raise TMError("bad bound %r (want: lin | poly A B | bin K A B)" % bound)
+    raise TMError("bad bound %r (want: lin | poly A B | bin K A B | nondet K)"
+                  % bound)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from consfree.analysis import (
 from consfree.counting import (
     bits_term, gen_bincount, gen_lincount, gen_nondetcount, gen_polycount,
 )
+from consfree.lang import Con
 from consfree.parser import parse_program, print_term
 from corpus import CORPUS, PRELUDE
 
@@ -120,3 +121,24 @@ def test_allowed_data_terms():
     names = {print_term(t) for t in allowed}
     # all suffixes of the input, its elements, and the rhs constants
     assert {"true::false::[]", "false::[]", "[]", "true", "false"} <= names
+
+
+def test_allowed_data_terms_is_linear_in_shared_inputs(monkeypatch):
+    # two equal 2000-bit lists built apart: the second costs one comparison
+    # at its root, not one walk per cell (2.6 s when it was quadratic)
+    p = parse_program(PRELUDE)
+    bits = "1101" * 500
+    first, second = bits_term(bits), bits_term(bits)
+    calls = []
+    term_eq = Con.__eq__
+
+    def counted(a, b):
+        calls.append(1)
+        return term_eq(a, b)
+
+    monkeypatch.setattr(Con, "__eq__", counted)
+    alone = allowed_data_terms(p, [first])
+    in_first = len(calls)  # a fresh true or false leaf meets an equal one
+    both = allowed_data_terms(p, [first, second])
+    assert len(calls) - 2 * in_first == 1
+    assert list(both) == list(alone)  # the same set, in the same order

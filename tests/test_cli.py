@@ -129,13 +129,14 @@ def test_saturate_dump_statements_function_claims(tmp_path, capsys):
 
 
 def test_saturate_long_input(tmp_path, capsys):
-    # 8000 bits: building the base set and checking data-ness do not
-    # recurse on the length of the list
+    # 8000 and 30 000 bits: type checking the input, building the base set
+    # and checking data-ness do not recurse on the length of the list
     path = write(tmp_path, "parity.cf", dict(CORPUS)["parity"])
-    bits = "110" * 2666 + "10"  # 5333 ones
-    assert main(["saturate", path, bits, "--format", "records"]) == 0
-    rec = records(capsys.readouterr().out)
-    assert rec[0] == ("result", "true") and rec[1][0] != "result"
+    for bits, parity in (("110" * 2666 + "10", "true"),  # 5333 ones
+                         ("1" * 30000, "false")):
+        assert main(["saturate", path, bits, "--format", "records"]) == 0
+        rec = records(capsys.readouterr().out)
+        assert rec[0] == ("result", parity) and rec[1][0] != "result"
 
 
 def test_bad_numbers_are_one_line_errors(tmp_path, capsys):
@@ -146,7 +147,8 @@ def test_bad_numbers_are_one_line_errors(tmp_path, capsys):
         (["saturate", choose, "1", "--domain-cap", "0"], 2),
         (["saturate", choose, "1", "--domain-cap", "-5"], 2),
     ]
-    for i, bound in enumerate(("bin x 1 1", "bin 0 1 1", "poly 0 1")):
+    for i, bound in enumerate(("bin x 1 1", "bin 0 1 1", "poly 0 1",
+                               "nondet x")):
         tm = write(tmp_path, "m%d.tm" % i,
                    PARITY_TM.replace("bound: lin", "bound: " + bound))
         cases.append((["compile-tm", tm], 1))

@@ -15,7 +15,7 @@ from consfree.lang import Arrow, Product, Sort
 from consfree.parser import parse_program, print_term
 from consfree.saturate import (
     Base, DomainCapExceeded, FunAV, PairAV, SaturationEngine,
-    SaturationPrecondition, abstract, abstract_match, build_base, concrete,
+    SaturationPrecondition, abstract, build_base, compile_plan, concrete,
     downset, geq, interpret_type, saturate,
 )
 from consfree.turing import compile_tm, tm_parity
@@ -76,26 +76,28 @@ def test_downset():
     assert all(geq(g, b) for b in below)
 
 
+def _matched(decls, rule, avs):
+    """What one rule's plan returns on avs: its right-hand side lists the
+    values its pattern variables were bound to, or nothing matched."""
+    p = parse_program(PRELUDE + decls + "rules:\n" + rule + "\n")
+    ev = compile_plan(p, p.rules[0].lhs.name, "demand")
+    return ev(SaturationEngine(p, []), tuple(avs))
+
+
 def test_abstract_match():
-    p = BY_NAME["head_or_false"]
-    pat = p.rules_for("start")[1].lhs.args[0]  # x::xs
     av = abstract(dt("true::[]"))
-    [subst] = abstract_match([pat], [av])
-    assert subst["x"] == Base(dt("true", BOOL))
-    nil_pat = p.rules_for("start")[0].lhs.args[0]
-    assert abstract_match([nil_pat], [av]) == []
+    decls = "fun m : list => bool * list\n"
+    assert _matched(decls, "m (x::xs) -> (x, xs)", [av]) == {
+        PairAV(Base(dt("true", BOOL)), Base(dt("[]")))}
+    assert _matched(decls, "m [] -> (false, [])", [av]) == set()
 
 
 def test_abstract_match_pair():
     t = Base(dt("true", BOOL))
     xs = Base(dt("[]"))
-    p = parse_program(PRELUDE + """\
-fun f : (bool * list) => bool
-rules:
-f (x, ys) -> x
-""")
-    [subst] = abstract_match(list(p.rules[0].lhs.args), [PairAV(t, xs)])
-    assert subst == {"x": t, "ys": xs}
+    decls = "fun f : (bool * list) => bool * list\n"
+    assert _matched(decls, "f (x, ys) -> (x, ys)", [PairAV(t, xs)]) == {
+        PairAV(t, xs)}
 
 
 # -- end-to-end saturation --------------------------------------------------
@@ -193,6 +195,116 @@ def test_statements_dump_marks_confirmed():
     confirmed = [(f, o) for f, avs, o, mark in stmts if mark == "confirmed"]
     assert len(stmts) > len(confirmed) > 0
     assert {print_term(concrete(o)) for _, o in confirmed} == {"true"}
+
+
+# -- generated plans: names and sizes the generated source must survive ------
+
+def _agrees_with_enumeration(src, inputs, results=None):
+    """Saturation equals the complete enumeration on each input."""
+    p = parse_program(PRELUDE + src)
+    for cs in inputs:
+        res = eval_all(p, mk_call(p, "start", [cs]),
+                       Budget(max_depth=1000, max_steps=100_000))
+        sat = saturate(p, "start", [cs])
+        assert res.complete and set(res.results) == sat, print_term(cs)
+        if results is not None:
+            assert {print_term(v) for v in sat} == results.pop(0)
+
+
+def test_plan_python_keywords_as_names():
+    inputs = [bits_term(b) for b in ("", "1", "10", "0110")]
+    # defined symbols named like Python keywords and builtins
+    _agrees_with_enumeration("""\
+fun start : list => bool
+fun def : list => bool
+fun lambda : bool => bool => bool
+fun x' : list => bool
+fun __import__ : bool => bool
+rules:
+start cs -> def cs
+def [] -> false
+def (b::bs) -> lambda b (x' bs)
+lambda true c -> __import__ c
+lambda false c -> c
+x' [] -> true
+x' (b::bs) -> def bs
+__import__ b -> b
+""", inputs, [{"false"}, {"true"}, {"false"}, {"false"}])
+    # and variables
+    _agrees_with_enumeration("""\
+fun start : list => bool
+fun pick : bool => bool => bool
+rules:
+start [] -> false
+start (def::lambda) -> pick def (start lambda)
+pick x' __import__ -> x'
+pick x' __import__ -> __import__
+""", inputs, [{"false"}, {"true", "false"}, {"true", "false"},
+              {"true", "false"}])
+
+
+def test_plan_long_literal_pattern():
+    bits = "1011001110" * 20
+    cells = "::".join("true" if b == "1" else "false" for b in bits[:150])
+    _agrees_with_enumeration("""\
+fun start : list => bool
+rules:
+start "%s" -> true
+start (%s::rest) -> false
+start cs -> false
+""" % (bits, cells), [bits_term(bits), bits_term(bits[:-1] + "1"),
+                      bits_term(bits[:150]), bits_term("1")],
+        [{"true", "false"}, {"false"}, {"false"}, {"false"}])
+
+
+def test_plan_wide_application_of_calls():
+    xs = " ".join("x%d" % i for i in range(25))
+    calls = " ".join("(h%d cs)" % (i % 2) for i in range(25))
+    _agrees_with_enumeration("""\
+fun start : list => bool
+fun big : %s => bool
+fun h0 : list => bool
+fun h1 : list => bool
+rules:
+start cs -> big %s
+big %s -> x24
+big true %s -> x1
+h0 [] -> true
+h0 (x::xs) -> x
+h1 [] -> false
+h1 (x::xs) -> true
+h1 (x::xs) -> false
+""" % (" => ".join(["bool"] * 25), calls, xs, xs.split(" ", 1)[1]),
+        [bits_term(b) for b in ("", "0", "1")],
+        [{"true", "false"}, {"false"}, {"true", "false"}])
+
+
+def test_plan_deep_pair_on_the_right():
+    # 300 pairs, each left component a call: the right of each pair is
+    # evaluated only when its left has a value
+    n = 300
+    typ = " * ".join(["bool"] * (n + 1))
+    for last, seen in (("g cs", 1), ("none cs", 0)):
+        comps = ", ".join(["g cs"] * n + [last])
+        p_src = """\
+fun start : list => %s
+fun g : list => bool
+fun none : list => bool
+rules:
+start cs -> (%s)
+g [] -> true
+g (x::xs) -> x
+none (x::xs) -> none xs
+""" % (typ, comps)
+        _agrees_with_enumeration(p_src, [bits_term("1"), bits_term("")])
+        p = parse_program(PRELUDE + p_src)
+        cs = bits_term("0")
+        assert len(saturate(p, "start", [cs])) == seen
+    # an empty left skips every query on its right
+    p = parse_program(PRELUDE + p_src.replace("(g cs, ", "(none cs, ", 1))
+    engine = SaturationEngine(p, [cs])
+    assert engine.call_data("start", [cs]) == set()
+    assert {f for f, _ in engine.table} == {"start", "none"}
 
 
 # -- the local solver against the plain worklist -----------------------------

@@ -105,8 +105,23 @@ def test_counting_module_for_bound():
     assert counting_module_for_bound("lin").bound(2) == 8
     assert counting_module_for_bound("poly 2 1").bound(2) == 5
     assert counting_module_for_bound("bin 1 1 1").bound(3) == 7
+    assert counting_module_for_bound("nondet 1").bound(3) == 7
     with pytest.raises(TMError):
         counting_module_for_bound("exp 3")
+
+
+def test_parity_under_nondet_bound():
+    # a nondet module loops on bit reads, so only saturation decides; start
+    # is true iff the machine accepts within the range 2^n - 1
+    tm = tm_parity()
+    tm.bound = "nondet 1"
+    comp = compile_tm(tm)
+    for n in range(5):
+        for bits in all_bits(n):
+            accepted, steps = simulate_tm(tm, bits)
+            expected = TRUE if accepted and steps <= comp.module.bound(n) else FALSE
+            cs = bits_term(bits)
+            assert saturate(comp.program, "start", [cs]) == {expected}, bits
 
 
 def test_compiled_program_classifies():
