@@ -10,7 +10,7 @@ from .lang import (
 )
 from .parser import ParseError, parse_data_term, parse_program, print_program, print_term
 from .analysis import AnalysisReport, allowed_data_terms, classify
-from .interp import Budget, EvalBudget, EvalResult, EvalStuck, eval_all, eval_deterministic
+from .interp import Budget, EvalResult, eval_all
 # `saturate` the function is not re-exported: as a package attribute it
 # would shadow the submodule, and `import consfree.saturate as m` would bind
 # the function

@@ -52,19 +52,23 @@ def is_syntactically_deterministic(p: Program):
 
 
 def _patterns_unifiable(pats_a, pats_b) -> bool:
-    return all(_unif(x, y) for x, y in zip(pats_a, pats_b))
-
-
-def _unif(a: Term, b: Term) -> bool:
     # patterns are linear with disjoint variables, so a structural walk
-    # suffices (no occurs check or substitution tracking needed)
-    if isinstance(a, Var) or isinstance(b, Var):
-        return True
-    if isinstance(a, Con) and isinstance(b, Con):
-        return a.name == b.name and _patterns_unifiable(a.args, b.args)
-    if isinstance(a, Pair) and isinstance(b, Pair):
-        return _unif(a.left, b.left) and _unif(a.right, b.right)
-    return False
+    # suffices (no occurs check or substitution tracking needed); it runs
+    # from an explicit stack, since a list pattern is as deep as it is long
+    stack = list(zip(pats_a, pats_b))
+    while stack:
+        a, b = stack.pop()
+        if isinstance(a, Var) or isinstance(b, Var):
+            continue
+        if isinstance(a, Con) and isinstance(b, Con):
+            if a.name != b.name:
+                return False
+            stack += zip(a.args, b.args)
+        elif isinstance(a, Pair) and isinstance(b, Pair):
+            stack += ((a.left, b.left), (a.right, b.right))
+        else:
+            return False
+    return True
 
 
 @dataclass

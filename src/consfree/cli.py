@@ -1,8 +1,11 @@
 """Command line interface.
 
 Exit codes: 0 success, 1 check failure or input error, 2 usage,
-3 resource limit (domain cap / recursion depth).  The step budget of
-`run` is not an error: the search stops and reports `complete: no`."""
+3 resource limit (the domain cap of `saturate`).  The step budget of
+`run` is not an error: the search stops and reports `complete: no`.
+A `RecursionError` is reported as exit 3 too, as a safety net: terms and
+searches are walked from explicit stacks, but type expressions and the
+abstract values of `saturate` are still walked by recursion."""
 
 from __future__ import annotations
 

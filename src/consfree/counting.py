@@ -18,7 +18,7 @@ from typing import Callable
 from .lang import Arrow, Con, Fun, Product, Program, Sort, Term, Type
 from .parser import parse_program
 from .saturate import AV, Base, SaturationEngine, abstract, av_key, geq
-from .interp import Budget, eval_deterministic
+from .interp import Budget, eval_all
 
 BOOL = Sort("bool")
 LIST = Sort("list")
@@ -421,20 +421,32 @@ class ChainContractViolation(Exception):
 
 def chain_length_concrete(cm: CountingModule, n: int,
                           budget: Budget = None) -> int:
-    """Walk seed, pred, pred, ... with the deterministic evaluator, checking
-    the zero flag at every step; returns the chain length."""
+    """Walk seed, pred, pred, ... with the enumerator, checking the zero
+    flag at every step; returns the chain length.  Every call must have
+    exactly one value and a complete enumeration, as in the deterministic
+    families; otherwise ChainContractViolation is raised."""
     p = cm.program
     budget = budget or Budget(max_steps=5_000_000)
     cs = make_input(n)
-    v = eval_deterministic(p, mk_call(p, cm.seed, [cs]), budget)
     steps = 0
+
+    def value(name, *args):
+        res = eval_all(p, mk_call(p, name, [cs, *args]), budget)
+        if len(res.results) != 1 or not res.complete:
+            raise ChainContractViolation(
+                "%s at step %d returned %d values%s"
+                % (name, steps, len(res.results),
+                   "" if res.complete else " before the budget ran out"))
+        return next(iter(res.results))
+
+    v = value(cm.seed)
     while True:
-        z = eval_deterministic(p, mk_call(p, cm.zero, [cs, v]), budget)
+        z = value(cm.zero, v)
         if z == TRUE:
             return steps
         if z != FALSE:
             raise ChainContractViolation("zero returned %r" % (z,))
-        v = eval_deterministic(p, mk_call(p, cm.pred, [cs, v]), budget)
+        v = value(cm.pred, v)
         steps += 1
         if steps > 10_000_000:
             raise ChainContractViolation("chain did not reach zero")

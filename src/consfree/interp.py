@@ -8,20 +8,21 @@ rule applications: once it is reached, every further rule is treated as
 out of depth, and the values found so far come back marked incomplete.
 Enlarging either bound never removes results.  It is the oracle the
 saturation evaluator is validated against.
+
+The search keeps its suspended frames on a stack of its own, and matching
+and substitution walk terms from explicit stacks, so neither the depth of
+a derivation nor the length of a list meets Python's recursion limit.
 """
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .lang import (
-    Con, Fun, LangError, Pair, Program, Term, Var, apply_term, is_data_term,
-    is_value,
+    Con, Fun, LangError, Pair, Program, Term, Var, apply_term, drive,
+    is_data_term, is_value,
 )
-
-sys.setrecursionlimit(20000)
 
 
 @dataclass
@@ -41,46 +42,68 @@ class EvalResult:
     steps_used: int
 
 
-class EvalStuck(Exception):
-    def __init__(self, term):
-        self.term = term
-        super().__init__("no rule applies and the term is not a value")
-
-
-class EvalBudget(Exception):
-    pass
-
-
 def match_pattern(pattern: Term, value: Term) -> Optional[dict]:
     """The unique substitution with pattern*subst == value, or None."""
     subst = {}
-    if _match(pattern, value, subst):
-        return subst
-    return None
+    return subst if _match(pattern, value, subst) else None
 
 
 def _match(pat, val, subst):
-    if isinstance(pat, Var):
-        subst[pat.name] = val
-        return True
-    if isinstance(pat, Con):
-        return (isinstance(val, Con) and val.name == pat.name
-                and all(_match(p, v, subst) for p, v in zip(pat.args, val.args)))
-    if isinstance(pat, Pair):
-        return (isinstance(val, Pair)
-                and _match(pat.left, val.left, subst)
-                and _match(pat.right, val.right, subst))
-    raise LangError("defined symbol in pattern")
+    """Bind pat's variables in subst, left to right; a ground part of the
+    pattern is compared with one ==."""
+    stack = [(pat, val)]
+    while stack:
+        pat, val = stack.pop()
+        cls = pat.__class__
+        if pat._data:
+            if pat != val:
+                return False
+        elif cls is Var:
+            subst[pat.name] = val
+        elif cls is Fun:
+            raise LangError("defined symbol in pattern")
+        elif val.__class__ is not cls:
+            return False
+        elif cls is Pair:
+            stack += ((pat.right, val.right), (pat.left, val.left))
+        elif val.name != pat.name:
+            return False
+        else:
+            stack += reversed(tuple(zip(pat.args, val.args)))
+    return True
 
 
 def substitute(s: Term, subst: dict) -> Term:
-    if isinstance(s, Var):
-        return apply_term(subst[s.name],
-                          tuple(substitute(a, subst) for a in s.args))
-    if isinstance(s, (Con, Fun)):
-        cls = type(s)
-        return cls(s.name, tuple(substitute(a, subst) for a in s.args), s.type)
-    return Pair(substitute(s.left, subst), substitute(s.right, subst), s.type)
+    """s with its variables replaced by their bindings; an applied variable
+    gets its arguments appended.  Ground data comes back as it is, and the
+    rest is rebuilt children first from an explicit stack."""
+    if s._data:
+        return s
+    built = []  # finished children, in order
+    stack = [(s, False)]
+    while stack:
+        t, ready = stack.pop()
+        cls = t.__class__
+        if ready:
+            n = 2 if cls is Pair else len(t.args)
+            args = tuple(built[-n:])
+            del built[-n:]
+            if cls is Var:
+                built.append(apply_term(subst[t.name], args))
+            elif cls is Pair:
+                built.append(Pair(args[0], args[1], t.type))
+            else:
+                built.append(cls(t.name, args, t.type))
+        elif t._data:
+            built.append(t)
+        elif cls is Pair:
+            stack += ((t, True), (t.right, False), (t.left, False))
+        elif not t.args:
+            built.append(subst[t.name] if cls is Var else t)
+        else:
+            stack.append((t, True))
+            stack += [(a, False) for a in reversed(t.args)]
+    return built[0]
 
 
 class _Search:
@@ -96,84 +119,80 @@ class _Search:
         if self.trace is not None and is_data_term(value):
             self.trace(value)
 
-    def go(self, term, fuel):
+    def go(self, request):
+        """(values, exhausted) of a (term, fuel) request, from the tables
+        when they hold it.  Run by `drive`: a sub-search suspends the
+        search that asked for it on an explicit stack."""
+        term, fuel = request
         if term in self.done:
             return self.done[term], True
-        key = (term, fuel)
-        if key in self.memo:
-            return self.memo[key]
-        # provisional entry breaks self-referential loops soundly: a cyclic
-        # re-entry at the same fuel cannot contribute new finite derivations
-        self.memo[key] = (frozenset(), False)
-        res = self._go(term, fuel)
-        self.memo[key] = res
-        if res[1]:
-            self.done[term] = res[0]
+        res = self.memo.get(request)
+        if res is None:
+            # provisional entry breaks self-referential loops soundly: a
+            # cyclic re-entry at the same fuel cannot contribute new finite
+            # derivations
+            self.memo[request] = (frozenset(), False)
+            res = self.memo[request] = yield from self._go(term, fuel)
+            if res[1]:
+                self.done[term] = res[0]
         return res
 
     def _go(self, term, fuel):
+        """Yields (subterm, fuel) for each sub-search and is sent back its
+        (values, exhausted); returns (values, exhausted) of term."""
         if is_value(self.p, term):
             self.note(term)
             return frozenset([term]), True
         if isinstance(term, Pair):
-            lv, lex = self.go(term.left, fuel)
-            rv, rex = self.go(term.right, fuel)
+            lv, lex = yield term.left, fuel
+            rv, rex = yield term.right, fuel
             out = frozenset(Pair(l, r, term.type) for l in lv for r in rv)
             for v in out:
                 self.note(v)
             return out, lex and rex
-        if isinstance(term, (Con, Fun)):
-            arg_sets = []
-            exhausted = True
-            for a in term.args:
-                vs, ex = self.go(a, fuel)
-                arg_sets.append(vs)
-                exhausted = exhausted and ex
-            combos = [()]
-            for vs in arg_sets:
-                combos = [c + (v,) for c in combos for v in vs]
-            out = set()
-            if isinstance(term, Con):
-                for c in combos:
-                    v = Con(term.name, c, term.type)
-                    self.note(v)
-                    out.add(v)
-                return frozenset(out), exhausted
-            arity = self.p.arity[term.name]
-            for c in combos:
-                if len(c) < arity:
-                    v = Fun(term.name, c, term.type)
-                    self.note(v)
-                    out.add(v)
-                    continue
-                vs, ex = self.apply_rules(term, c, arity, fuel)
-                out |= vs
-                exhausted = exhausted and ex
-            return frozenset(out), exhausted
-        raise LangError("cannot evaluate open term %r" % term.name)
-
-    def apply_rules(self, term, values, arity, fuel):
-        out = set()
-        exhausted = True
-        matched = False
-        for rule in self.p.rules_for(term.name):
-            subst = {}
-            ok = all(_match(l, v, subst)
-                     for l, v in zip(rule.lhs.args, values[:arity]))
-            if not ok:
-                continue
-            matched = True
-            if fuel <= 0 or self.steps >= self.budget.max_steps:
-                exhausted = False
-                continue
-            self.steps += 1
-            reduct = apply_term(substitute(rule.rhs, subst), values[arity:])
-            vs, ex = self.go(reduct, fuel - 1)
-            out |= vs
+        if not isinstance(term, (Con, Fun)):
+            raise LangError("cannot evaluate open term %r" % term.name)
+        arg_sets, exhausted = [], True
+        for a in term.args:
+            vs, ex = yield a, fuel
+            arg_sets.append(vs)
             exhausted = exhausted and ex
-        if not matched:
-            # stuck branch: the relation has no derivation here
-            return frozenset(), True
+        combos = [()]
+        for vs in arg_sets:
+            combos = [c + (v,) for c in combos for v in vs]
+        out = set()
+        if isinstance(term, Con):
+            for c in combos:
+                v = Con(term.name, c, term.type)
+                self.note(v)
+                out.add(v)
+            return frozenset(out), exhausted
+        arity = self.p.arity[term.name]
+        rules = self.p.rules_for(term.name)
+        for c in combos:
+            if len(c) < arity:
+                v = Fun(term.name, c, term.type)
+                self.note(v)
+                out.add(v)
+                continue
+            # apply every matching rule; a call no rule matches is stuck:
+            # the relation has no derivation there, and nothing is left out
+            found, found_ex = set(), True
+            for rule in rules:
+                subst = {}
+                if not all(_match(l, v, subst)
+                           for l, v in zip(rule.lhs.args, c)):
+                    continue
+                if fuel <= 0 or self.steps >= self.budget.max_steps:
+                    found_ex = False
+                    continue
+                self.steps += 1
+                reduct = apply_term(substitute(rule.rhs, subst), c[arity:])
+                vs, ex = yield reduct, fuel - 1
+                found |= vs
+                found_ex = found_ex and ex
+            out |= frozenset(found)
+            exhausted = exhausted and found_ex
         return frozenset(out), exhausted
 
 
@@ -182,38 +201,5 @@ def eval_all(p: Program, term: Term, budget: Budget = None,
     """All values derivable from a ground term, with a completeness flag."""
     budget = budget or Budget()
     search = _Search(p, budget, trace)
-    results, complete = search.go(term, budget.max_depth)
+    results, complete = drive(search.go, (term, budget.max_depth))
     return EvalResult(results, complete, search.steps)
-
-
-def eval_deterministic(p: Program, term: Term, budget: Budget = None) -> Term:
-    """Leftmost-rule evaluation; intended for syntactically deterministic
-    programs.  Raises EvalStuck / EvalBudget."""
-    budget = budget or Budget()
-    state = {"steps": 0}
-
-    def ev(t):
-        if is_value(p, t):
-            return t
-        if isinstance(t, Pair):
-            return Pair(ev(t.left), ev(t.right), t.type)
-        if isinstance(t, Con):
-            return Con(t.name, tuple(ev(a) for a in t.args), t.type)
-        if isinstance(t, Fun):
-            values = tuple(ev(a) for a in t.args)
-            arity = p.arity[t.name]
-            if len(values) < arity:
-                return Fun(t.name, values, t.type)
-            for rule in p.rules_for(t.name):
-                subst = {}
-                if all(_match(l, v, subst)
-                       for l, v in zip(rule.lhs.args, values[:arity])):
-                    state["steps"] += 1
-                    if state["steps"] > budget.max_steps:
-                        raise EvalBudget()
-                    return ev(apply_term(substitute(rule.rhs, subst),
-                                         values[arity:]))
-            raise EvalStuck(Fun(t.name, values, t.type))
-        raise LangError("cannot evaluate open term %r" % t.name)
-
-    return ev(term)

@@ -236,6 +236,23 @@ def nodes(s: Term):
             stack += reversed(t.args)
 
 
+def drive(step, first):
+    """The return value of the generator step(first).  A step yields the
+    argument of each sub-step it needs and is sent back that sub-step's
+    return value; suspended steps wait on an explicit stack, so how deep
+    steps nest is not limited by Python's recursion limit."""
+    frames, res = [step(first)], None
+    while True:
+        try:
+            frames.append(step(frames[-1].send(res)))
+            res = None
+        except StopIteration as stop:
+            frames.pop()
+            if not frames:
+                return stop.value
+            res = stop.value
+
+
 def subterms(s: Term) -> set:
     """Reflexive subterm closure; the head of an application is excluded."""
     return set(nodes(s))
@@ -516,11 +533,19 @@ def data_order(p: Program) -> int:
 def is_value(p: Program, s: Term) -> bool:
     """Data, an under-applied function whose arguments are values, or a pair
     of values.  Constructor arguments have order-0 types, so a value under a
-    constructor is data and only the pairs and closures above it recurse."""
+    constructor is data; the pairs and closures above it are walked from an
+    explicit stack, since closures can nest as deep as a derivation."""
     if s._data:
         return True
-    if s.__class__ is Pair:
-        return is_value(p, s.left) and is_value(p, s.right)
-    if s.__class__ is Fun:
-        return len(s.args) < p.arity[s.name] and all(is_value(p, a) for a in s.args)
-    return False
+    stack = [s]
+    while stack:
+        t = stack.pop()
+        if t._data:
+            continue
+        if t.__class__ is Pair:
+            stack += (t.left, t.right)
+        elif t.__class__ is Fun and len(t.args) < p.arity[t.name]:
+            stack += t.args
+        else:
+            return False
+    return True

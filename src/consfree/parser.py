@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 from .lang import (
     Arrow, Con, LangError, Pair, Product, Program, RawApp, RawPair, Rule,
-    Sort, SymbolTable, Term, Type, check_rule, free_vars, is_data_term,
-    make_program, spine, type_check,
+    Sort, SymbolTable, Term, Type, check_rule, drive, free_vars,
+    is_data_term, make_program, spine, type_check,
 )
 
 
@@ -156,21 +156,32 @@ def _parse_atom_type(cur: _Cursor) -> Type:
 # Raw terms
 
 def _parse_term(cur: _Cursor) -> "RawApp | RawPair":
-    left = _parse_app(cur)
-    if cur.at("punct", "::"):
-        pos = cur.next().pos
-        right = _parse_term(cur)
-        return RawApp("cons", [left, right], pos)
-    return left
+    # each parenthesized term is a step of its own, so neither nesting nor
+    # a long chain of `::` recurses
+    return drive(_term_step, cur)
+
+
+def _term_step(cur):
+    # app (:: app)*, folded to the right
+    items = [(yield from _parse_app(cur))]
+    conses = []
+    while cur.at("punct", "::"):
+        conses.append(cur.next().pos)
+        items.append((yield from _parse_app(cur)))
+    raw = items.pop()
+    while items:
+        raw = RawApp("cons", [items.pop(), raw], conses.pop())
+    return raw
+
 
 def _parse_app(cur: _Cursor):
-    head = _parse_atom(cur)
+    head = yield from _parse_atom(cur)
     args = []
     while cur.at("ident") or cur.at("punct", "(") or cur.at("punct", "[]") \
             or cur.at("string"):
         if cur.at("ident", "where"):  # keyword, never an argument
             break
-        args.append(_parse_atom(cur))
+        args.append((yield from _parse_atom(cur)))
     if not args:
         return head
     if isinstance(head, RawApp) and not head.args:
@@ -182,11 +193,10 @@ def _parse_atom(cur: _Cursor):
     tok = cur.peek()
     if cur.at("punct", "("):
         cur.next()
-        first = _parse_term(cur)
-        parts = [first]
+        parts = [(yield cur)]
         while cur.at("punct", ","):
             cur.next()
-            parts.append(_parse_term(cur))
+            parts.append((yield cur))
         cur.expect("punct", ")")
         raw = parts[-1]
         for p in reversed(parts[:-1]):
@@ -323,32 +333,34 @@ def _infer_pattern_types(table, raw_lhs, pos) -> dict:
 
 
 def _walk_pattern(table, raw, expected, var_types):
-    if isinstance(raw, RawPair):
-        if not isinstance(expected, Product):
-            raise ParseError("pair pattern at non-product type %s" % expected,
+    # pre-order, left to right, from an explicit stack: a literal pattern
+    # is as deep as it is long
+    stack = [(raw, expected)]
+    while stack:
+        raw, expected = stack.pop()
+        if isinstance(raw, RawPair):
+            if not isinstance(expected, Product):
+                raise ParseError(
+                    "pair pattern at non-product type %s" % expected, raw.pos)
+            stack += ((raw.right, expected.right), (raw.left, expected.left))
+        elif raw.head in table.constructors:
+            arg_types, cod = spine(table.constructors[raw.head])
+            if len(raw.args) != len(arg_types):
+                raise ParseError(
+                    "constructor %r expects %d arguments"
+                    % (raw.head, len(arg_types)), raw.pos)
+            stack += reversed(tuple(zip(raw.args, arg_types)))
+        elif raw.head in table.defined:
+            pass  # reported as a condition (b) violation later
+        elif raw.args:
+            raise ParseError("applied variable %r in a pattern" % raw.head,
                              raw.pos)
-        _walk_pattern(table, raw.left, expected.left, var_types)
-        _walk_pattern(table, raw.right, expected.right, var_types)
-        return
-    if raw.head in table.constructors:
-        arg_types, cod = spine(table.constructors[raw.head])
-        if len(raw.args) != len(arg_types):
+        elif raw.head in var_types and var_types[raw.head] != expected:
             raise ParseError(
-                "constructor %r expects %d arguments" % (raw.head, len(arg_types)),
-                raw.pos)
-        for a, t in zip(raw.args, arg_types):
-            _walk_pattern(table, a, t, var_types)
-        return
-    if raw.head in table.defined:
-        # reported as a condition (b) violation later; nothing to infer
-        return
-    if raw.args:
-        raise ParseError("applied variable %r in a pattern" % raw.head, raw.pos)
-    if raw.head in var_types and var_types[raw.head] != expected:
-        raise ParseError(
-            "variable %r used at both %s and %s"
-            % (raw.head, var_types[raw.head], expected), raw.pos)
-    var_types[raw.head] = expected
+                "variable %r used at both %s and %s"
+                % (raw.head, var_types[raw.head], expected), raw.pos)
+        else:
+            var_types[raw.head] = expected
 
 
 # ---------------------------------------------------------------------------
@@ -370,23 +382,36 @@ def parse_data_term(text: str, expected: Type, table: SymbolTable) -> Term:
 # Printing
 
 def print_term(s: Term) -> str:
-    return _pt(s, 0)
+    # An application or a `::` is parenthesized as an argument or as the
+    # head of a `::`, and bare elsewhere.  The stack holds the terms and
+    # the text still to print, last on top, so a long list does not recurse.
+    parts = []
+    stack = [s]
+    while stack:
+        t = stack.pop()
+        if t.__class__ is str:
+            parts.append(t)
+        elif t.__class__ is Pair:
+            parts.append("(")
+            stack += (")", t.right, ", ", t.left)
+        elif not t.args:
+            parts.append("[]" if t.name == "nil" and t.__class__ is Con
+                         else t.name)
+        elif t.name == "cons" and t.__class__ is Con and len(t.args) == 2:
+            h = t.args[0]
+            stack += ((t.args[1], "::", ")", h, "(") if _compound(h)
+                      else (t.args[1], "::", h))
+        else:
+            parts.append(t.name)
+            for a in reversed(t.args):
+                stack += (")", a, "(", " ") if _compound(a) else (a, " ")
+    return "".join(parts)
 
 
-def _pt(s, level):
-    # level 0: top (:: allowed bare); level 1: application argument
-    if isinstance(s, Pair):
-        return "(%s, %s)" % (_pt(s.left, 0), _pt(s.right, 0))
-    if isinstance(s, Con) and s.name == "cons" and len(s.args) == 2:
-        text = "%s::%s" % (_pt(s.args[0], 1), _pt(s.args[1], 0))
-        return "(%s)" % text if level >= 1 else text
-    if isinstance(s, Con) and s.name == "nil" and not s.args:
-        return "[]"
-    name = s.name
-    if not s.args:
-        return name
-    text = " ".join([name] + [_pt(a, 1) for a in s.args])
-    return "(%s)" % text if level >= 1 else text
+def _compound(t) -> bool:
+    """An application with arguments, or a `::`: parenthesized as an
+    argument."""
+    return t.__class__ is not Pair and bool(t.args)
 
 
 def print_program(p: Program) -> str:

@@ -39,8 +39,8 @@ from itertools import product
 
 from .analysis import allowed_data_terms, is_cons_free
 from .lang import (
-    Con, LangError, Pair, Product, Program, Sort, Term, Type, Var, spine,
-    type_order,
+    Con, LangError, Pair, Product, Program, Sort, Term, Type, Var, drive,
+    spine, type_order,
 )
 from .parser import print_term
 
@@ -331,39 +331,44 @@ class _Plan:
 
     def match(self, pat, loc, at_av):
         """Guards and bindings that match pat against the value in loc: an
-        abstract value if at_av, else a data term."""
-        cls = pat.__class__
-        if cls is Var:
-            self.vars[pat.name] = (loc, at_av)
-            return
-        self.nodes[pat] = (loc, at_av)
-        if cls is Pair:
-            if at_av:
-                self.match_lines.append("if %s.__class__ is not PairAV: break" % loc)
-            self.sub(pat.left, "%s.left" % loc, at_av)
-            self.sub(pat.right, "%s.right" % loc, at_av)
-            return
-        term = loc + ".term" if at_av else loc
-        test = "%s.__class__ is not Base or " % loc if at_av else ""
-        if pat.args and pat._data:  # a ground pattern: one comparison
-            test += "%s != %s" % (term, self.const(pat))
-        else:
-            test += "%s.name != %s" % (term, self.const(pat.name))
-        self.match_lines.append("if %s: break" % test)
-        if pat._data:
-            return
-        if at_av:
-            term = self.fresh("t")
-            self.match_lines.append("%s = %s.term" % (term, loc))
-        for j, a in enumerate(pat.args):
-            self.sub(a, "%s.args[%d]" % (term, j), False)
-
-    def sub(self, pat, expr, at_av):
-        if pat.__class__ is Var and pat.name not in self.used:
-            return
-        t = self.fresh("t")
-        self.match_lines.append("%s = %s" % (t, expr))
-        self.match(pat, t, at_av)
+        abstract value if at_av, else a data term.  Subpatterns are visited
+        in pre-order, left to right, from an explicit stack, since a list
+        pattern is as deep as it is long; each one that is not an unused
+        variable is first bound to a local of its own."""
+        stack = []  # (subpattern, expression for its value, at_av)
+        while True:
+            cls, kids = pat.__class__, ()
+            if cls is Var:
+                self.vars[pat.name] = (loc, at_av)
+            elif cls is Pair:
+                self.nodes[pat] = (loc, at_av)
+                if at_av:
+                    self.match_lines.append(
+                        "if %s.__class__ is not PairAV: break" % loc)
+                kids = ((pat.left, "%s.left" % loc, at_av),
+                        (pat.right, "%s.right" % loc, at_av))
+            else:
+                self.nodes[pat] = (loc, at_av)
+                term = loc + ".term" if at_av else loc
+                test = "%s.__class__ is not Base or " % loc if at_av else ""
+                if pat.args and pat._data:  # a ground pattern: one comparison
+                    test += "%s != %s" % (term, self.const(pat))
+                else:
+                    test += "%s.name != %s" % (term, self.const(pat.name))
+                self.match_lines.append("if %s: break" % test)
+                if not pat._data:
+                    if at_av:
+                        term = self.fresh("t")
+                        self.match_lines.append("%s = %s.term" % (term, loc))
+                    kids = [(a, "%s.args[%d]" % (term, j), False)
+                            for j, a in enumerate(pat.args)]
+            stack += [k for k in reversed(kids)
+                      if k[0].__class__ is not Var or k[0].name in self.used]
+            if not stack:
+                return
+            pat, expr, at_av = stack.pop()
+            loc = self.fresh("t")
+            self.match_lines.append("%s = %s" % (loc, expr))
 
     def av(self, loc, at_av, typ) -> str:
         """A local holding the abstract value of what loc holds."""
@@ -380,7 +385,13 @@ class _Plan:
 
     def subject(self, s):
         """Emit the code for s; returns (_ONE, a local or constant holding
-        its only value) or (_SET, a local holding the set of its values)."""
+        its only value) or (_SET, a local holding the set of its values).
+        Each subterm's code is written by a `_subject` step that yields the
+        subterms it needs, so a deeply nested right-hand side does not
+        recurse."""
+        return drive(self._subject, s)
+
+    def _subject(self, s):
         cls = s.__class__
         if s._data:  # ground data, built once
             return _ONE, self.const(abstract(s))
@@ -398,21 +409,17 @@ class _Plan:
                 return _ONE, v
             r, funs = self.fresh("r"), "(%s,)" % v
             for a in s.args:
-                self.emit("%s = ap(%s, %s)" % (r, funs, self.values(a)))
+                self.emit("%s = ap(%s, %s)" % (r, funs, _iterable(*(yield a))))
                 funs = r
             return _SET, r
         if cls is Pair:
-            return self.pair(s)
-        return self.call(s)
-
-    def values(self, s) -> str:
-        """An iterable over the values of s."""
-        return _iterable(*self.subject(s))
+            return (yield from self.pair(s))
+        return (yield from self.call(s))
 
     def pair(self, s):
-        lk, left = self.subject(s.left)
+        lk, left = yield s.left
         if lk is _ONE:
-            rk, right = self.subject(s.right)
+            rk, right = yield s.right
             r = self.fresh("r")
             if rk is _ONE:
                 self.emit("%s = PairAV(%s, %s)" % (r, left, right))
@@ -426,7 +433,7 @@ class _Plan:
         self.lines.append(self.indent + "%s = %sbool(%s)" % (
             g, "" if outer is None else outer + " and ", left))
         self.guard = g
-        right = self.values(s.right)
+        right = _iterable(*(yield s.right))
         self.guard = outer
         r = self.fresh("r")
         self.emit("%s = {PairAV(x, y) for x, y in product(%s, %s)} if %s else set()"
@@ -437,7 +444,9 @@ class _Plan:
         """A defined-symbol application: from arity(f) arguments on it
         reduces and each result is a separate value; below it, it is a
         closure."""
-        args = [self.subject(a) for a in s.args]
+        args = []
+        for a in s.args:
+            args.append((yield a))
         f, r = self.const(s.name), self.fresh("r")
         if all(kind is _ONE for kind, _ in args):
             key, loop = "(%s)" % "".join(x + ", " for _, x in args), None

@@ -174,22 +174,119 @@ def test_saturate_domain_cap_exit_3(tmp_path, capsys):
     assert "resource limit" in capsys.readouterr().err
 
 
-def test_deep_searches_exit_without_traceback(tmp_path):
-    # a derivation depth bound of 100 000 and a 30 000-bit input: either
-    # the command finishes or it reports a resource limit on one line
-    loop = write(tmp_path, "loop.cf", dict(CORPUS)["loop_with_escape"])
-    parity = write(tmp_path, "parity.cf", dict(CORPUS)["parity"])
+def run_cli(argv, timeout=300):
     src = os.path.join(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=src)
-    for argv in (["run", "--budget-depth", "100000", loop, "1"],
-                 ["saturate", parity, "1" * 30_000]):
-        res = subprocess.run([sys.executable, "-m", "consfree.cli"] + argv,
-                             capture_output=True, text=True, env=env,
-                             timeout=300)
-        assert res.returncode in (0, 3), (argv[0], res.stderr[-2000:])
-        assert "Traceback" not in res.stdout + res.stderr, argv[0]
-        assert len(res.stderr.splitlines()) <= 1, argv[0]
+    return subprocess.run([sys.executable] + argv, capture_output=True,
+                          text=True, env=env, timeout=timeout)
+
+
+def test_deep_searches_exit_without_traceback(tmp_path):
+    # a derivation depth bound of 100 000 and a 30 000-bit input, under
+    # Python's default recursion limit: the search keeps its frames on a
+    # stack of its own
+    loop = write(tmp_path, "loop.cf", dict(CORPUS)["loop_with_escape"])
+    parity = write(tmp_path, "parity.cf", dict(CORPUS)["parity"])
+    ones = "1" * 30_000
+    for argv, out in (
+            (["run", "--budget-depth", "100000", loop, "1"],
+             ["result: true", "complete: no", "steps: 199999"]),
+            (["run", "--budget-depth", "100000", parity, ones],
+             ["result: false", "complete: yes", "steps: 60001"]),
+            (["saturate", parity, ones, "--format", "records"],
+             ["result: false"])):
+        res = run_cli(["-m", "consfree.cli"] + argv)
+        assert res.returncode == 0, (argv[0], res.stderr[-2000:])
+        assert res.stderr == "", argv[0]
+        assert res.stdout.splitlines()[:len(out)] == out, argv[0]
+
+
+def test_long_lists_in_programs_and_inputs(tmp_path, capsys):
+    # lists of 3000 cells as inputs, results, literal patterns and
+    # right-hand sides: parsing, printing, matching and substitution walk
+    # along a list without recursing on its length
+    n = 3000
+    ones, cells = "1" * n, "true::" * n
+
+    def program(name, typ, rule):
+        return write(tmp_path, name, PRELUDE + "fun start : %s\nrules:\n%s\n"
+                     % (typ, rule))
+
+    ident = program("id.cf", "list => list", "start cs -> cs")
+    lit_pat = program("lit_pat.cf", "list => bool", 'start "%s" -> true' % ones)
+    lit_rhs = program("lit_rhs.cf", "list => list", 'start cs -> "%s"' % ones)
+    cons_pat = program("cons_pat.cf", "list => list",
+                       "start (%sxs) -> xs" % cells)
+    cons_rhs = program("cons_rhs.cf", "list => list",
+                       "start cs -> %scs" % cells)
+    cases = [
+        (["saturate", ident, ones], 0, cells + "[]"),
+        (["run", ident, ones], 0, cells + "[]"),
+        (["run", ident, cells + "[]"], 0, cells + "[]"),
+        (["check", lit_pat], 0, None),
+        (["run", lit_pat, ones], 0, "true"),
+        (["run", lit_rhs, "0"], 0, cells + "[]"),
+        (["check", cons_pat], 0, None),
+        (["run", cons_pat, ones + "01"], 0, "false::true::[]"),
+        (["saturate", cons_pat, ones + "01"], 0, "false::true::[]"),
+        (["run", cons_rhs, "0"], 0, cells + "false::[]"),
+        (["saturate", cons_rhs, "0"], 1, None),
+    ]
+    for argv, code, result in cases:
+        rc = main(argv + ["--format", "records"])
+        out, err = capsys.readouterr()
+        assert rc == code, (argv[:2], err[-500:])
+        if result is not None:
+            assert records(out)[0] == ("result", result), argv[:2]
+        if argv[0] == "check":
+            assert ("cons_free", "yes") in records(out), argv[:2]
+    assert "not cons-free" in err
+
+
+def test_deep_nesting_in_programs_and_inputs(tmp_path, capsys):
+    # 3000 nested parentheses, a right-hand side of 3000 nested calls, two
+    # overlapping 3000-cell patterns, and a closure nested 3000 deep: the
+    # parser, the saturation engine's rule plans, the determinism check and
+    # the value test use explicit stacks
+    n = 3000
+    nested = write(tmp_path, "nested.cf", PRELUDE + (
+        "fun start : list => list\nfun id : list => list\nrules:\n"
+        "id xs -> xs\nstart cs -> %scs%s\n" % ("id (" * n, ")" * n)))
+    overlap = write(tmp_path, "overlap.cf", PRELUDE + (
+        "fun start : list => bool\nrules:\n"
+        'start "%s" -> true\nstart (%sxs) -> false\n' % ("1" * n, "true::" * n)))
+    closures = write(tmp_path, "closures.cf", PRELUDE + (
+        "fun start : list => bool\nfun id : bool => bool\n"
+        "fun k : (bool => bool) => bool => bool\n"
+        "fun build : list => (bool => bool) => bool => bool\nrules:\n"
+        "id x -> x\nk f x -> f x\nbuild [] f -> f\n"
+        "build (c::cs) f -> build cs (k f)\nstart cs -> build cs id true\n"))
+    cases = [
+        (["run", nested, "(" * n + "true::[]" + ")" * n], "true::[]"),
+        (["check", nested], None),
+        (["run", nested, "10", "--budget-depth", "5000"], "true::false::[]"),
+        (["saturate", nested, "10"], "true::false::[]"),
+        (["run", closures, "1" * n, "--budget-depth", "10000"], "true"),
+        (["check", overlap], None),
+    ]
+    for argv, result in cases:
+        rc = main(argv + ["--format", "records"])
+        out, err = capsys.readouterr()
+        assert rc == 0, (argv[:2], err[-500:])
+        if result is not None:
+            assert records(out)[0] == ("result", result), argv[:2]
+    assert ("overlapping_rules", "0,1") in records(out)
+
+
+def test_import_leaves_the_recursion_limit_alone():
+    res = run_cli(["-c", "import sys\n"
+                   "before = sys.getrecursionlimit()\n"
+                   "import consfree, consfree.cli\n"
+                   "print(before, sys.getrecursionlimit())\n"], timeout=60)
+    assert res.returncode == 0, res.stderr
+    before, after = res.stdout.split()
+    assert before == after
 
 
 def test_gen_count_check_roundtrip(tmp_path, capsys):

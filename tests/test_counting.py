@@ -1,6 +1,8 @@
 """Counting modules: the seed/pred/zero contract, walked concretely and
 through the saturating evaluator, against an integer model."""
 
+import dataclasses
+
 import pytest
 
 from consfree.counting import (
@@ -8,7 +10,7 @@ from consfree.counting import (
     exp2, gen_bincount, gen_lincount, gen_nondetcount, gen_polycount,
     make_input, mk_call,
 )
-from consfree.interp import Budget, eval_deterministic
+from consfree.interp import Budget, eval_all
 from consfree.lang import Pair
 
 
@@ -18,6 +20,12 @@ def list_len(t):
         n += 1
         t = t.args[1]
     return n
+
+
+def one_value(p, term):
+    res = eval_all(p, term)
+    assert len(res.results) == 1 and res.complete, res
+    return next(iter(res.results))
 
 
 def test_exp2():
@@ -32,7 +40,7 @@ def test_lincount_decode_counts_down_by_one():
     p = cm.program
     for n in (1, 2, 3):
         cs = make_input(n)
-        v = eval_deterministic(p, mk_call(p, cm.seed, [cs]))
+        v = one_value(p, mk_call(p, cm.seed, [cs]))
         expected = cm.bound(n)
         while True:
             assert isinstance(v, Pair)
@@ -40,7 +48,7 @@ def test_lincount_decode_counts_down_by_one():
             assert value == expected, n
             if expected == 0:
                 break
-            v = eval_deterministic(p, mk_call(p, cm.pred, [cs, v]))
+            v = one_value(p, mk_call(p, cm.pred, [cs, v]))
             expected -= 1
 
 
@@ -104,16 +112,23 @@ def test_nondetcount_chain_saturate():
 
 
 def test_chain_guard_reports_missing_values():
-    # pred applied past zero is stuck; the walker flags it instead of looping
+    # pred applied past zero is stuck: its enumeration is complete and empty
     cm = gen_lincount()
     p = cm.program
     cs = make_input(1)
-    v = eval_deterministic(p, mk_call(p, cm.seed, [cs]))
-    from consfree.interp import EvalStuck
+    v = one_value(p, mk_call(p, cm.seed, [cs]))
     for _ in range(cm.bound(1)):
-        v = eval_deterministic(p, mk_call(p, cm.pred, [cs, v]))
-    with pytest.raises(EvalStuck):
-        eval_deterministic(p, mk_call(p, cm.pred, [cs, v]))
+        v = one_value(p, mk_call(p, cm.pred, [cs, v]))
+    res = eval_all(p, mk_call(p, cm.pred, [cs, v]))
+    assert res.results == frozenset() and res.complete
+    # without the borrow rule pred gets stuck before zero, and the walker
+    # flags the missing value instead of looping
+    borrow = "pred cs (x::xs, []) -> (xs, cs)"
+    assert borrow in cm.rules
+    broken = dataclasses.replace(
+        cm, rules=[r for r in cm.rules if r != borrow], _program=None)
+    with pytest.raises(ChainContractViolation, match="returned 0 values"):
+        chain_length_concrete(broken, 1)
 
 
 def test_sources_reparse():

@@ -4,9 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from consfree.counting import bits_term, gen_lincount, make_input, mk_call
-from consfree.interp import (
-    Budget, EvalStuck, eval_all, eval_deterministic, match_pattern,
-)
+from consfree.interp import Budget, eval_all, match_pattern
 from consfree.lang import Con, Pair, Product, Sort, is_data_term
 from consfree.parser import parse_data_term, parse_program, print_term
 from corpus import CORPUS, PRELUDE, bitset_probe_programs
@@ -156,17 +154,19 @@ def test_trace_sees_only_data_terms():
     assert all(is_data_term(v) for v in seen)
 
 
-def test_eval_deterministic():
+def test_deterministic_program_has_one_value():
     p = BY_NAME["parity"]
-    assert eval_deterministic(p, start(p, "101")) == FALSE
-    assert eval_deterministic(p, start(p, "011")) == FALSE
-    assert eval_deterministic(p, start(p, "1")) == TRUE
+    for bits, value in (("101", FALSE), ("011", FALSE), ("1", TRUE)):
+        res = eval_all(p, start(p, bits))
+        assert res.results == {value} and res.complete, bits
 
 
-def test_eval_deterministic_stuck():
+def test_stuck_call_has_no_values():
+    # no rule for [] at the end of the list: no derivation, and nothing
+    # left to search
     p = BY_NAME["no_nil_rule"]
-    with pytest.raises(EvalStuck):
-        eval_deterministic(p, start(p, "11"))
+    res = eval_all(p, start(p, "11"))
+    assert res.results == frozenset() and res.complete
 
 
 def test_over_application():

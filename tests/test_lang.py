@@ -183,7 +183,6 @@ def test_data_order_first_order_program():
 
 
 def test_hash_is_cached_and_not_recursive():
-    import consfree.interp  # noqa: F401 -- sets the recursion limit in use
     from consfree.counting import bits_term
     deep = bits_term("1" * 100_000)  # 100 000 cons cells deep
     assert hash(deep) == hash(bits_term("1" * 100_000))
@@ -191,7 +190,6 @@ def test_hash_is_cached_and_not_recursive():
 
 
 def test_equality_is_not_recursive():
-    import consfree.interp  # noqa: F401 -- sets the recursion limit in use
     from consfree.counting import bits_term
     # built separately, so == walks all 30 000 cells, deeper than the limit
     a, b = bits_term("1" * 30_000), bits_term("1" * 30_000)

@@ -385,8 +385,8 @@ def test_local_solver_matches_worklist(monkeypatch):
 
 
 def test_stack_safe_under_default_recursion_limit():
-    # importing consfree.interp raises the limit; put the default back, then
-    # saturate an input long enough to reach the nesting bound
+    # saturate an input long enough to reach the nesting bound, under
+    # Python's default recursion limit
     script = """\
 import sys
 import consfree.saturate as S
