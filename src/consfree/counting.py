@@ -483,4 +483,6 @@ def _pick(values, what) -> AV:
         raise ChainContractViolation("%s produced no value" % what)
     maximal = [v for v in values
                if not any(w != v and geq(w, v) for w in values)]
+    if len(maximal) == 1:  # av_key prints values: call it only to choose
+        return maximal[0]
     return max(maximal, key=av_key)

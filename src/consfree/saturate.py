@@ -24,11 +24,12 @@ right-hand sides, compiled when f is first evaluated and kept on the
 
 The fixpoint is solved locally, top-down (Le Charlier & Van Hentenryck
 1992; Fecht & Seidl 1999): a statement key is evaluated when it is first
-queried, nested inside the evaluation that queried it, and the caller gets
-its value rather than an empty set.  Nesting is bounded
-(`MAX_NESTED_EVALUATIONS`); past the bound a new key goes on the worklist.
-Whenever a key's confirmed set grows, the worklist re-evaluates the keys
-that queried it, which keeps cyclic dependencies sound.
+queried, and the caller gets its value rather than an empty set.  A plan is
+a generator that yields each key it queries, so evaluations nest as frames
+on one explicit stack (`SaturationEngine._drive`), at any depth and without
+Python recursion.  Whenever a key's confirmed set grows, the worklist
+re-evaluates the keys that queried it, which keeps cyclic dependencies
+sound.
 """
 
 from __future__ import annotations
@@ -186,12 +187,12 @@ def downset(av: AV, cap: int = 1_000_000) -> list:
 #
 # The rules are fixed before the fixpoint runs, so they are specialised once
 # (staging, the partial-evaluation technique of Jones, Gomard & Sestoft 1993).
-# `compile_plan` writes the source of one function `ev(engine, avs) -> set`
-# for all the rules of a symbol and compiles it.  A rule's patterns become
-# class and name tests on the arguments that bind each variable to a local,
-# and its right-hand side becomes straight-line code that queries the
-# engine in the order the rules' semantics fixes: arguments left to right,
-# every argument's set built before their product, the first argument
+# `compile_plan` writes the source of one generator function `ev(engine,
+# avs)` for all the rules of a symbol and compiles it.  A rule's patterns
+# become class and name tests on the arguments that bind each variable to a
+# local, and its right-hand side becomes straight-line code that yields the
+# keys it queries in the order the rules' semantics fixes: arguments left to
+# right, every argument's set built before their product, the first argument
 # outermost, and the right of a pair only when its left has a value.  The
 # order of queries also follows the iteration order of each set of values,
 # which depends on the operations that built the set, so every set is built
@@ -226,10 +227,11 @@ def apply_values(funs, arg_values) -> set:
 
 
 def compile_plan(p: Program, f: str, mode: str):
-    """The evaluator of f's rules: `ev(engine, avs)` returns the values
-    confirmed now for the key (f, avs), where avs holds at least arity(f)
-    values.  In eager mode the plan closes the values of higher-order
-    variables and of closures under down-sets."""
+    """The evaluator of f's rules: `ev(engine, avs)` is a generator that
+    yields each key it queries, is sent back that key's confirmed set, and
+    returns the values confirmed now for the key (f, avs), where avs holds
+    at least arity(f) values.  In eager mode the plan closes the values of
+    higher-order variables and of closures under down-sets."""
     return _Plan(p, mode == "eager").build(f)
 
 
@@ -246,8 +248,7 @@ class _Plan:
         self.env = {"Base": Base, "PairAV": PairAV, "FunAV": FunAV,
                     "abstract": abstract, "ap": apply_values,
                     "downset": downset, "product": product}
-        self.consts = {}   # (class, object) -> name in self.env
-        self.uses = set()  # engine methods the code calls
+        self.consts = {}  # (class, object) -> name in self.env
         self.count = 0
 
     def const(self, obj) -> str:
@@ -272,9 +273,9 @@ class _Plan:
         head += ["    a%d = avs[%d]" % (i, i) for i in range(k)]
         if over:  # keys may carry arguments past the rules' own
             head.append("    extra = avs[%d:]" % k)
-        fetch = {"q": "_query", "gm": "_gmax", "pv": "_partial_values"}
-        head += ["    %s = engine.%s" % (v, fetch[v]) for v in sorted(self.uses)]
-        src = "\n".join(head + body + ["    return out", ""])
+        # the bare yield is never reached: ev is a generator even if no rule
+        # queries a key
+        src = "\n".join(head + body + ["    return out", "    yield", ""])
         exec(compile(src, "<plan>", "exec"), self.env)
         return self.env["ev"]
 
@@ -455,19 +456,19 @@ class _Plan:
             loop = "for c in product(%s):" % ", ".join(
                 _iterable(kind, x) for kind, x in args)
         if len(s.args) >= self.p.arity[s.name]:
-            self.uses.add("q")
-            vals = "q((%s, %s))" % (f, key)
+            vals = "(yield (%s, %s))" % (f, key)
         else:
             arg_types = self.const(tuple(spine(self.p.table.defined[s.name])[0]))
             if self.eager:
-                self.uses.add("pv")
-                vals = "pv(%s, %s, %s)" % (f, key, arg_types)
+                vals = "(yield from engine._partial_values(%s, %s, %s))" % (
+                    f, key, arg_types)
             else:
-                self.uses.add("gm")
+                gm = "FunAV((yield from engine._gmax(%s, %s, %s)))" % (
+                    f, key, arg_types)
                 if loop is None:
-                    self.emit("%s = FunAV(gm(%s, %s, %s))" % (r, f, key, arg_types))
+                    self.emit("%s = %s" % (r, gm))
                     return _ONE, r
-                vals = "{FunAV(gm(%s, %s, %s))}" % (f, key, arg_types)
+                vals = "{%s}" % gm
         if loop is None:
             self.emit("%s = set(%s)" % (r, vals))
         else:
@@ -478,16 +479,6 @@ class _Plan:
 
 # ---------------------------------------------------------------------------
 # The engine
-
-# A new key is solved in place, nested inside the evaluation that queried it,
-# while fewer than this many evaluations are nested; deeper new keys go on the
-# worklist instead, so the nesting does not grow with the input.  One level
-# costs 4 Python frames (_query, _evaluate, _eval_key and the generated
-# evaluator), and 5 when the query comes from a closure's graph (_gmax),
-# measured on the compiled TM programs and the counting chains; 40 levels
-# take about 200 frames, well below Python's default recursion limit of 1000.
-MAX_NESTED_EVALUATIONS = 40
-
 
 @dataclass
 class SaturationStats:
@@ -531,8 +522,6 @@ class SaturationEngine:
                            # iterate in an order set by PYTHONHASHSEED
         self.queue = deque()
         self.queued = set()
-        self.current = None  # key under evaluation, the dependant of queries
-        self.depth = 0       # evaluations nested on the Python stack
         self._domains = {}
         self._plans = program._plans.setdefault(mode, {})  # symbol -> ev
         if mode == "eager":
@@ -578,9 +567,9 @@ class SaturationEngine:
             return self._solve((fname, avs))
         # the closure's graph ranges over fixed domains, so the second read
         # opens no key and sees every key at its fixpoint
-        self._partial_values(fname, avs, arg_types)
+        self._drive(None, self._partial_values(fname, avs, arg_types))
         self._run()
-        return self._partial_values(fname, avs, arg_types)
+        return self._drive(None, self._partial_values(fname, avs, arg_types))
 
     def call_data(self, fname: str, inputs) -> set:
         """Goal call on data arguments; returns a set of data terms."""
@@ -626,7 +615,9 @@ class SaturationEngine:
                 self._enqueue((f, c))
 
     def _solve(self, key) -> set:
-        self._query(key)
+        if key not in self.table:
+            self._register(key)
+            self._drive(key, self._evaluation(key))
         self._run()
         return set(self.table[key])
 
@@ -649,62 +640,71 @@ class SaturationEngine:
         while self.queue:
             key = self.queue.popleft()
             self.queued.discard(key)
-            self._evaluate(key)
+            self._drive(key, self._evaluation(key))
         self.stats.passes += 1
-
-    def _evaluate(self, key):
-        prev = self.current
-        self.current = key
-        self.depth += 1
-        self.stats.evaluations += 1
-        try:
-            new = self._eval_key(key)
-        finally:
-            self.current = prev
-            self.depth -= 1
-        old = self.table[key]
-        if not new <= old:
-            self.stats.confirmed += len(new - old)
-            old |= new
-            for dep in self.deps[key]:
-                self._enqueue(dep)
-
-    def _query(self, key):
-        vals = self.table.get(key)
-        if vals is None:
-            if self.depth < MAX_NESTED_EVALUATIONS:
-                # solve a new key on the spot and hand the caller its value;
-                # the caller becomes a dependant afterwards, so this first
-                # growth does not re-queue it
-                self._register(key)
-                self._evaluate(key)
-            else:
-                self._enqueue(key)
-            vals = self.table[key]
-        if self.current is not None:
-            self.deps[key][self.current] = None
-        return vals
 
     # -- statement confirmation --------------------------------------------
 
-    def _eval_key(self, key):
+    def _drive(self, key, gen):
+        """Run gen, the evaluation of key (None: a read that is no key's
+        evaluation), and return its result.  Evaluations are frames on an
+        explicit stack.  A query of a known key, even one on the stack, is
+        sent that key's set as it stands, and the querying key becomes its
+        dependant.  A new key's frame is pushed; when it ends, its results
+        are confirmed, the caller is sent its set and only then becomes a
+        dependant, so this first growth does not re-queue the caller."""
+        table, deps = self.table, self.deps
+        frames, res = [(key, gen)], None
+        while True:
+            top, gen = frames[-1]
+            try:
+                q = gen.send(res)
+            except StopIteration as stop:
+                frames.pop()
+                if top is None:  # only the first frame may have no key
+                    return stop.value
+                res = self._confirm(top, stop.value)
+                if not frames:
+                    return res
+                if frames[-1][0] is not None:
+                    deps[top][frames[-1][0]] = None
+                continue
+            res = table.get(q)
+            if res is None:
+                self._register(q)
+                frames.append((q, self._evaluation(q)))
+            elif top is not None:
+                deps[q][top] = None
+
+    def _evaluation(self, key):
         # keys carry at least arity(f) arguments, so every rule applies to a
         # prefix and any remaining arguments are fed to the resulting graphs
         f, avs = key
         ev = self._plans.get(f)
         if ev is None:
             ev = self._plans[f] = compile_plan(self.p, f, self.mode)
+        self.stats.evaluations += 1
         return ev(self, avs)
 
-    def _partial_values(self, f, avs, arg_types) -> set:
+    def _confirm(self, key, new):
+        old = self.table[key]
+        if not new <= old:
+            self.stats.confirmed += len(new - old)
+            old |= new
+            for dep in self.deps[key]:
+                self._enqueue(dep)
+        return old
+
+    def _partial_values(self, f, avs, arg_types):
         """The values of the closure f avs: its maximal graph, and in eager
-        mode every graph below it."""
-        g = FunAV(self._gmax(f, avs, arg_types))
+        mode every graph below it.  It and `_gmax` are generators that
+        query keys as a plan does."""
+        g = FunAV((yield from self._gmax(f, avs, arg_types)))
         if self.mode == "eager":
             return set(downset(g, self.cap))
         return {g}
 
-    def _gmax(self, f, avs, arg_types) -> frozenset:
+    def _gmax(self, f, avs, arg_types):
         """Maximal graph of the closure f avs (with fewer than arity(f)
         arguments captured): all (A, w) with w a confirmed result of
         f avs A -- or a nested closure graph while still under arity."""
@@ -713,11 +713,10 @@ class SaturationEngine:
         graph = set()
         for a in next_dom:
             if n + 1 >= self.p.arity[f]:
-                for w in self._query((f, avs + (a,))):
-                    graph.add((a, w))
+                ws = yield (f, avs + (a,))
             else:
-                for w in self._partial_values(f, avs + (a,), arg_types):
-                    graph.add((a, w))
+                ws = yield from self._partial_values(f, avs + (a,), arg_types)
+            graph.update((a, w) for w in ws)
         return frozenset(graph)
 
 

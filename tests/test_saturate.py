@@ -81,7 +81,8 @@ def _matched(decls, rule, avs):
     values its pattern variables were bound to, or nothing matched."""
     p = parse_program(PRELUDE + decls + "rules:\n" + rule + "\n")
     ev = compile_plan(p, p.rules[0].lhs.name, "demand")
-    return ev(SaturationEngine(p, []), tuple(avs))
+    engine = SaturationEngine(p, [])
+    return engine._drive(None, ev(engine, tuple(avs)))
 
 
 def test_abstract_match():
@@ -351,12 +352,33 @@ def _same_downset(xs, ys):
             and all(any(_covers(x, y) for x in xs) for y in ys))
 
 
+class _Worklist(SaturationEngine):
+    """The plain worklist: a query of a new key puts it on the queue and is
+    sent its empty set, and the querying evaluation runs again when the key
+    grows."""
+
+    def _drive(self, key, gen):
+        res = None
+        while True:
+            try:
+                q = gen.send(res)
+            except StopIteration as stop:
+                if key is None:
+                    return stop.value
+                return self._confirm(key, stop.value)
+            if q not in self.table:
+                self._enqueue(q)
+            res = self.table[q]
+            if key is not None:
+                self.deps[q][key] = None
+
+
 def _solve_both(monkeypatch, solve):
-    """(result, engine) of the local solver, then of the plain worklist:
-    with no nesting allowed every new key goes on the worklist."""
+    """(result, engine) of the local solver, then of the plain worklist,
+    which `_goal` and `_chain_engine` build through this module's name."""
     local = solve()
     with monkeypatch.context() as m:
-        m.setattr(saturate_module, "MAX_NESTED_EVALUATIONS", 0)
+        m.setitem(globals(), "SaturationEngine", _Worklist)
         worklist = solve()
     return local, worklist
 
@@ -377,16 +399,21 @@ def test_local_solver_matches_worklist(monkeypatch):
     runs.append(("nondet 2 n=2", lambda: _chain_engine(nondet, 2)))
     for label, solve in runs:
         (res, local), (ref, worklist) = _solve_both(monkeypatch, solve)
+        assert isinstance(worklist, _Worklist), label
         assert res == ref, label
         for key in local.table.keys() & worklist.table.keys():
             mine, theirs = local.table[key], worklist.table[key]
             assert mine == theirs or _same_downset(mine, theirs), (label, key)
         assert local.stats.evaluations <= worklist.stats.evaluations, label
+        if label == "parity 111111":
+            # what the plain worklist counted before the local solver came
+            stats = worklist.stats
+            assert (stats.keys, stats.evaluations) == (2218, 4568), stats
 
 
 def test_stack_safe_under_default_recursion_limit():
-    # saturate an input long enough to reach the nesting bound, under
-    # Python's default recursion limit
+    # under Python's default recursion limit, more evaluations are nested
+    # than the limit allows Python frames, and every key is evaluated once
     script = """\
 import sys
 import consfree.saturate as S
@@ -395,20 +422,28 @@ from consfree.turing import compile_tm, simulate_tm, tm_parity
 sys.setrecursionlimit(1000)
 
 class Deepest(S.SaturationEngine):
-    deepest = 0
+    live = deepest = 0
 
-    def _evaluate(self, key):
-        self.deepest = max(self.deepest, self.depth + 1)
-        return super()._evaluate(key)
+    def _evaluation(self, key):
+        return self._counted(super()._evaluation(key))
+
+    def _counted(self, gen):
+        self.live += 1
+        self.deepest = max(self.deepest, self.live)
+        try:
+            return (yield from gen)
+        finally:
+            self.live -= 1
 
 tm = tm_parity()
-bits = "1011010011"
+bits = "1" * 16
 cs = bits_term(bits)
 engine = Deepest(compile_tm(tm).program, [cs])
 vals = engine.call("start", (S.abstract(cs),))
-assert engine.deepest == S.MAX_NESTED_EVALUATIONS, engine.deepest
+assert engine.deepest > 1000, engine.deepest
+assert engine.stats.evaluations == engine.stats.keys == 24493, engine.stats
 assert {S.concrete(v).name == "true" for v in vals} == {simulate_tm(tm, bits)[0]}
-print("ok", engine.stats.keys, engine.stats.evaluations)
+print("ok", engine.deepest, engine.stats.keys, engine.stats.evaluations)
 """
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=src)
@@ -431,7 +466,6 @@ def test_domain_cap_in_nested_evaluation_leaves_engine_consistent():
     engine = SaturationEngine(p, [cs], key_cap=50)
     with pytest.raises(DomainCapExceeded):
         engine.call("start", (abstract(cs),))
-    assert engine.current is None and engine.depth == 0
     assert len(engine.table) == 50
 
 
