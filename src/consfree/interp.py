@@ -9,20 +9,25 @@ out of depth, and the values found so far come back marked incomplete.
 Enlarging either bound never removes results.  It is the oracle the
 saturation evaluator is validated against.
 
-The search keeps its suspended frames on a stack of its own, and matching
-and substitution walk terms from explicit stacks, so neither the depth of
-a derivation nor the length of a list meets Python's recursion limit.
+Each defined symbol's rules are compiled, when the symbol is first called,
+into one generated rule applier (`compile_plan`) that matches the patterns
+by name tests and builds each reduct in straight-line code.  An argument
+that is data or already tabled is answered without a sub-search.  The
+search keeps its suspended frames on a stack of its own, and the plan
+compiler walks terms from explicit stacks, so neither the depth of a
+derivation nor the length of a list meets Python's recursion limit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 from .lang import (
     Con, Fun, LangError, Pair, Program, Term, Var, apply_term, drive,
-    is_data_term, is_value,
+    is_data_term, is_value, nodes, spine,
 )
+from .plan import PlanWriter
 
 
 @dataclass
@@ -42,68 +47,111 @@ class EvalResult:
     steps_used: int
 
 
-def match_pattern(pattern: Term, value: Term) -> Optional[dict]:
-    """The unique substitution with pattern*subst == value, or None."""
-    subst = {}
-    return subst if _match(pattern, value, subst) else None
+# ---------------------------------------------------------------------------
+# Rule plans: one generated rule applier per defined symbol
+#
+# `compile_plan` writes the source of one generator function `ev(s, c,
+# fuel)` for all the rules of a symbol and compiles it (see `consfree.plan`).
+# Each rule is a block that a failed pattern test leaves by `break`.  A rule
+# that matches asks the budget for one application; if the budget admits it,
+# its reduct is built one statement per right-hand-side node and handed to
+# the search.  Ground data is a constant, a subterm equal to a pattern node
+# is the value that node matched (so a cons-free program builds no
+# constructor term), and the other nodes are built from their children.
+
+def compile_plan(p: Program, f: str):
+    """The enumerator's plan of f's rules.  `ev(s, c, fuel)` is a generator
+    run by the search s on a tuple c of at least arity(f) values: for each
+    rule, in program order, whose patterns match, it counts one step if the
+    budget admits one (else the result is not exhausted), yields the
+    request (reduct, fuel - 1), with c's arguments past the rule's appended
+    to the reduct, and is sent back its (values, exhausted).  It returns the
+    union of those values and whether every one was exhausted."""
+    return _Plan(p).build(f)
 
 
-def _match(pat, val, subst):
-    """Bind pat's variables in subst, left to right; a ground part of the
-    pattern is compared with one ==."""
-    stack = [(pat, val)]
-    while stack:
-        pat, val = stack.pop()
-        cls = pat.__class__
-        if pat._data:
-            if pat != val:
-                return False
-        elif cls is Var:
-            subst[pat.name] = val
-        elif cls is Fun:
-            raise LangError("defined symbol in pattern")
-        elif val.__class__ is not cls:
-            return False
-        elif cls is Pair:
-            stack += ((pat.right, val.right), (pat.left, val.left))
-        elif val.name != pat.name:
-            return False
-        else:
-            stack += reversed(tuple(zip(pat.args, val.args)))
-    return True
+class _Plan(PlanWriter):
+    """Writes and compiles the enumerator's plan of one symbol's rules."""
 
+    def __init__(self, p: Program):
+        super().__init__(p, {"Con": Con, "Fun": Fun, "Pair": Pair,
+                             "apply_term": apply_term})
 
-def substitute(s: Term, subst: dict) -> Term:
-    """s with its variables replaced by their bindings; an applied variable
-    gets its arguments appended.  Ground data comes back as it is, and the
-    rest is rebuilt children first from an explicit stack."""
-    if s._data:
-        return s
-    built = []  # finished children, in order
-    stack = [(s, False)]
-    while stack:
-        t, ready = stack.pop()
-        cls = t.__class__
-        if ready:
-            n = 2 if cls is Pair else len(t.args)
-            args = tuple(built[-n:])
-            del built[-n:]
-            if cls is Var:
-                built.append(apply_term(subst[t.name], args))
-            elif cls is Pair:
-                built.append(Pair(args[0], args[1], t.type))
+    def build(self, f: str):
+        k = self.p.arity[f]
+        head = ["def ev(s, c, fuel):", "    found, ex = set(), True"]
+        head += ["    a%d = c[%d]" % (i, i) for i in range(k)]
+        over = len(spine(self.p.table.defined[f])[0]) > k
+        if over:  # a call may carry arguments past the rules' own
+            head.append("    extra = c[%d:]" % k)
+        body = []
+        for rule in self.p.rules_for(f):
+            body += self.rule(rule, over)
+        # the bare yield is never reached: ev is a generator even if f has
+        # no rule
+        return self.compile(head + body + ["    return found, ex", "    yield", ""])
+
+    def rule(self, rule, over) -> list:
+        """The lines of one rule, inside a `while True` that a failed
+        pattern test or a refused step leaves by `break`."""
+        patterns = {t for pat in rule.lhs.args for t in nodes(pat)
+                    if t.__class__ is not Var}
+        self.used = set()  # variables read outside ground data and patterns
+        stack = [rule.rhs]
+        while stack:
+            t = stack.pop()
+            if t._data or t in patterns:
+                continue
+            if t.__class__ is Pair:
+                stack += (t.left, t.right)
             else:
-                built.append(cls(t.name, args, t.type))
-        elif t._data:
-            built.append(t)
+                stack += t.args
+                if t.__class__ is Var:
+                    self.used.add(t.name)
+        self.vars, self.nodes, self.match_lines = {}, {}, []
+        for i, pat in enumerate(rule.lhs.args):
+            self.match(pat, "a%d" % i, False)
+        self.lines = []
+        r = drive(self._build, rule.rhs)
+        if over:  # into a local of its own: r may hold an argument
+            o = self.fresh("r")
+            self.lines.append("%s = apply_term(%s, extra)" % (o, r))
+            r = o
+        return ["    while True:"] + ["        " + line for line in (
+            self.match_lines
+            + ["if fuel <= 0 or s.steps >= s.budget.max_steps:",
+               "    ex = False", "    break",
+               "s.steps += 1"]
+            + self.lines
+            + ["vs, e = yield %s, fuel - 1" % r,
+               "found |= vs", "ex = ex and e", "break"])]
+
+    def _build(self, t):
+        """A local or constant holding the instance of t; a step run by
+        `drive`, which yields the children it needs first, since a
+        right-hand side is as deep as its longest list."""
+        if t._data:
+            return self.const(t)
+        node = self.nodes.get(t)
+        if node is not None:
+            return node[0]
+        cls = t.__class__
+        if cls is Var and not t.args:
+            return self.vars[t.name][0]
+        xs = []
+        for kid in ((t.left, t.right) if cls is Pair else t.args):
+            xs.append((yield kid))
+        args = "(%s)" % "".join(x + ", " for x in xs)
+        if cls is Var:
+            built = "apply_term(%s, %s)" % (self.vars[t.name][0], args)
         elif cls is Pair:
-            stack += ((t, True), (t.right, False), (t.left, False))
-        elif not t.args:
-            built.append(subst[t.name] if cls is Var else t)
+            built = "Pair(%s, %s, %s)" % (xs[0], xs[1], self.const(t.type))
         else:
-            stack.append((t, True))
-            stack += [(a, False) for a in reversed(t.args)]
-    return built[0]
+            built = "%s(%s, %s, %s)" % (cls.__name__, self.const(t.name),
+                                        args, self.const(t.type))
+        r = self.fresh("r")
+        self.lines.append("%s = %s" % (r, built))
+        return r
 
 
 class _Search:
@@ -114,18 +162,26 @@ class _Search:
         self.steps = 0
         self.done = {}   # term -> frozenset of values (search space exhausted)
         self.memo = {}   # (term, fuel) -> (frozenset, exhausted)
+        self._plans = program._plans.setdefault("enumerate", {})  # symbol -> ev
 
     def note(self, value):
         if self.trace is not None and is_data_term(value):
             self.trace(value)
+
+    def plan(self, f):
+        ev = self._plans.get(f)
+        if ev is None:
+            ev = self._plans[f] = compile_plan(self.p, f)
+        return ev
 
     def go(self, request):
         """(values, exhausted) of a (term, fuel) request, from the tables
         when they hold it.  Run by `drive`: a sub-search suspends the
         search that asked for it on an explicit stack."""
         term, fuel = request
-        if term in self.done:
-            return self.done[term], True
+        vs = self.tabled(term)
+        if vs is not None:
+            return vs, True
         res = self.memo.get(request)
         if res is None:
             # provisional entry breaks self-referential loops soundly: a
@@ -137,15 +193,30 @@ class _Search:
                 self.done[term] = res[0]
         return res
 
+    def tabled(self, term):
+        """term's values if the tables answer them without a search: a
+        term in `done`, or data, which is noted and tabled as exhausted;
+        else None."""
+        vs = self.done.get(term)
+        if vs is None and term._data:
+            self.note(term)
+            vs = self.done[term] = frozenset([term])
+        return vs
+
     def _go(self, term, fuel):
         """Yields (subterm, fuel) for each sub-search and is sent back its
-        (values, exhausted); returns (values, exhausted) of term."""
+        (values, exhausted); returns (values, exhausted) of term.  A
+        subterm the tables answer needs no sub-search."""
         if is_value(self.p, term):
             self.note(term)
             return frozenset([term]), True
         if isinstance(term, Pair):
-            lv, lex = yield term.left, fuel
-            rv, rex = yield term.right, fuel
+            lv, lex = self.tabled(term.left), True
+            if lv is None:
+                lv, lex = yield term.left, fuel
+            rv, rex = self.tabled(term.right), True
+            if rv is None:
+                rv, rex = yield term.right, fuel
             out = frozenset(Pair(l, r, term.type) for l in lv for r in rv)
             for v in out:
                 self.note(v)
@@ -154,9 +225,11 @@ class _Search:
             raise LangError("cannot evaluate open term %r" % term.name)
         arg_sets, exhausted = [], True
         for a in term.args:
-            vs, ex = yield a, fuel
+            vs = self.tabled(a)
+            if vs is None:
+                vs, ex = yield a, fuel
+                exhausted = exhausted and ex
             arg_sets.append(vs)
-            exhausted = exhausted and ex
         combos = [()]
         for vs in arg_sets:
             combos = [c + (v,) for c in combos for v in vs]
@@ -168,7 +241,7 @@ class _Search:
                 out.add(v)
             return frozenset(out), exhausted
         arity = self.p.arity[term.name]
-        rules = self.p.rules_for(term.name)
+        ev = self.plan(term.name)
         for c in combos:
             if len(c) < arity:
                 v = Fun(term.name, c, term.type)
@@ -177,20 +250,7 @@ class _Search:
                 continue
             # apply every matching rule; a call no rule matches is stuck:
             # the relation has no derivation there, and nothing is left out
-            found, found_ex = set(), True
-            for rule in rules:
-                subst = {}
-                if not all(_match(l, v, subst)
-                           for l, v in zip(rule.lhs.args, c)):
-                    continue
-                if fuel <= 0 or self.steps >= self.budget.max_steps:
-                    found_ex = False
-                    continue
-                self.steps += 1
-                reduct = apply_term(substitute(rule.rhs, subst), c[arity:])
-                vs, ex = yield reduct, fuel - 1
-                found |= vs
-                found_ex = found_ex and ex
+            found, found_ex = yield from ev(self, c, fuel)
             out |= frozenset(found)
             exhausted = exhausted and found_ex
         return frozenset(out), exhausted

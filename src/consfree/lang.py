@@ -343,8 +343,9 @@ class Program:
     rules: list
     arity: dict = field(default_factory=dict)  # defined name -> nat
     _by_head: dict = field(init=False, repr=False, compare=False)
-    # the saturation engine's generated evaluators, by mode and symbol,
-    # compiled when a symbol is first evaluated
+    # generated evaluators by reading ("enumerate" for the enumerator, the
+    # saturation engine's "demand" and "eager") and symbol, compiled when a
+    # symbol is first evaluated
     _plans: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):

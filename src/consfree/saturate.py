@@ -44,6 +44,7 @@ from .lang import (
     spine, type_order,
 )
 from .parser import print_term
+from .plan import PlanWriter
 
 
 class DomainCapExceeded(Exception):
@@ -185,27 +186,19 @@ def downset(av: AV, cap: int = 1_000_000) -> list:
 # ---------------------------------------------------------------------------
 # Rule plans: one generated evaluator per defined symbol
 #
-# The rules are fixed before the fixpoint runs, so they are specialised once
-# (staging, the partial-evaluation technique of Jones, Gomard & Sestoft 1993).
 # `compile_plan` writes the source of one generator function `ev(engine,
-# avs)` for all the rules of a symbol and compiles it.  A rule's patterns
-# become class and name tests on the arguments that bind each variable to a
-# local, and its right-hand side becomes straight-line code that yields the
-# keys it queries in the order the rules' semantics fixes: arguments left to
-# right, every argument's set built before their product, the first argument
-# outermost, and the right of a pair only when its left has a value.  The
-# order of queries also follows the iteration order of each set of values,
-# which depends on the operations that built the set, so every set is built
-# one fixed way: a comprehension for a pair, `set()` and `|=` per argument
-# combination for a call, `|=` per rule for the result.  The counters pinned
-# in `tests/test_determinism.py` hold the plans to that.
-#
-# Only identifiers and integers made here go into the source.  Symbols,
-# types and ground terms enter as constants `K<i>` of the function's
-# namespace, since a program's identifiers may hold `'` or be Python
-# keywords.  The code stays flat (one statement per pattern node and per
-# right-hand-side node, loops never nested in loops), so no term size runs
-# into Python's limits on nested blocks, indentation or parentheses.
+# avs)` for all the rules of a symbol and compiles it (see `consfree.plan`).
+# A rule's patterns become class and name tests on the arguments that bind
+# each variable to a local, and its right-hand side becomes straight-line
+# code that yields the keys it queries in the order the rules' semantics
+# fixes: arguments left to right, every argument's set built before their
+# product, the first argument outermost, and the right of a pair only when
+# its left has a value.  The order of queries also follows the iteration
+# order of each set of values, which depends on the operations that built
+# the set, so every set is built one fixed way: a comprehension for a pair,
+# `set()` and `|=` per argument combination for a call, `|=` per rule for
+# the result.  The counters pinned in `tests/test_determinism.py` hold the
+# plans to that.
 
 _ONE, _SET = "one", "set"  # a subject's values: one value, or a set of them
 
@@ -239,29 +232,14 @@ def _iterable(kind, x) -> str:
     return x if kind is _SET else "(%s,)" % x
 
 
-class _Plan:
-    """Writes and compiles the evaluator of one symbol's rules."""
+class _Plan(PlanWriter):
+    """Writes and compiles the saturation evaluator of one symbol's rules."""
 
     def __init__(self, p: Program, eager: bool):
-        self.p = p
+        super().__init__(p, {"Base": Base, "PairAV": PairAV, "FunAV": FunAV,
+                             "abstract": abstract, "ap": apply_values,
+                             "downset": downset, "product": product})
         self.eager = eager
-        self.env = {"Base": Base, "PairAV": PairAV, "FunAV": FunAV,
-                    "abstract": abstract, "ap": apply_values,
-                    "downset": downset, "product": product}
-        self.consts = {}  # (class, object) -> name in self.env
-        self.count = 0
-
-    def const(self, obj) -> str:
-        key = (obj.__class__, obj)
-        name = self.consts.get(key)
-        if name is None:
-            name = self.consts[key] = "K%d" % len(self.consts)
-            self.env[name] = obj
-        return name
-
-    def fresh(self, prefix: str) -> str:
-        self.count += 1
-        return "%s%d" % (prefix, self.count)
 
     def build(self, f: str):
         k = self.p.arity[f]
@@ -275,9 +253,7 @@ class _Plan:
             head.append("    extra = avs[%d:]" % k)
         # the bare yield is never reached: ev is a generator even if no rule
         # queries a key
-        src = "\n".join(head + body + ["    return out", "    yield", ""])
-        exec(compile(src, "<plan>", "exec"), self.env)
-        return self.env["ev"]
+        return self.compile(head + body + ["    return out", "    yield", ""])
 
     # -- one rule -------------------------------------------------------------
 
@@ -327,49 +303,6 @@ class _Plan:
             self.lines.append(indent + "if %s:" % self.guard)
             indent += "    "
         self.lines += [indent + line for line in block]
-
-    # -- patterns -------------------------------------------------------------
-
-    def match(self, pat, loc, at_av):
-        """Guards and bindings that match pat against the value in loc: an
-        abstract value if at_av, else a data term.  Subpatterns are visited
-        in pre-order, left to right, from an explicit stack, since a list
-        pattern is as deep as it is long; each one that is not an unused
-        variable is first bound to a local of its own."""
-        stack = []  # (subpattern, expression for its value, at_av)
-        while True:
-            cls, kids = pat.__class__, ()
-            if cls is Var:
-                self.vars[pat.name] = (loc, at_av)
-            elif cls is Pair:
-                self.nodes[pat] = (loc, at_av)
-                if at_av:
-                    self.match_lines.append(
-                        "if %s.__class__ is not PairAV: break" % loc)
-                kids = ((pat.left, "%s.left" % loc, at_av),
-                        (pat.right, "%s.right" % loc, at_av))
-            else:
-                self.nodes[pat] = (loc, at_av)
-                term = loc + ".term" if at_av else loc
-                test = "%s.__class__ is not Base or " % loc if at_av else ""
-                if pat.args and pat._data:  # a ground pattern: one comparison
-                    test += "%s != %s" % (term, self.const(pat))
-                else:
-                    test += "%s.name != %s" % (term, self.const(pat.name))
-                self.match_lines.append("if %s: break" % test)
-                if not pat._data:
-                    if at_av:
-                        term = self.fresh("t")
-                        self.match_lines.append("%s = %s.term" % (term, loc))
-                    kids = [(a, "%s.args[%d]" % (term, j), False)
-                            for j, a in enumerate(pat.args)]
-            stack += [k for k in reversed(kids)
-                      if k[0].__class__ is not Var or k[0].name in self.used]
-            if not stack:
-                return
-            pat, expr, at_av = stack.pop()
-            loc = self.fresh("t")
-            self.match_lines.append("%s = %s" % (loc, expr))
 
     def av(self, loc, at_av, typ) -> str:
         """A local holding the abstract value of what loc holds."""
@@ -652,29 +585,37 @@ class SaturationEngine:
         sent that key's set as it stands, and the querying key becomes its
         dependant.  A new key's frame is pushed; when it ends, its results
         are confirmed, the caller is sent its set and only then becomes a
-        dependant, so this first growth does not re-queue the caller."""
+        dependant, so this first growth does not re-queue the caller.  An
+        exception (a cap, an interrupt) re-queues every keyed frame it
+        leaves unfinished, so a later call evaluates those keys again."""
         table, deps = self.table, self.deps
         frames, res = [(key, gen)], None
-        while True:
-            top, gen = frames[-1]
-            try:
-                q = gen.send(res)
-            except StopIteration as stop:
-                frames.pop()
-                if top is None:  # only the first frame may have no key
-                    return stop.value
-                res = self._confirm(top, stop.value)
-                if not frames:
-                    return res
-                if frames[-1][0] is not None:
-                    deps[top][frames[-1][0]] = None
-                continue
-            res = table.get(q)
-            if res is None:
-                self._register(q)
-                frames.append((q, self._evaluation(q)))
-            elif top is not None:
-                deps[q][top] = None
+        try:
+            while True:
+                top, gen = frames[-1]
+                try:
+                    q = gen.send(res)
+                except StopIteration as stop:
+                    frames.pop()
+                    if top is None:  # only the first frame may have no key
+                        return stop.value
+                    res = self._confirm(top, stop.value)
+                    if not frames:
+                        return res
+                    if frames[-1][0] is not None:
+                        deps[top][frames[-1][0]] = None
+                    continue
+                res = table.get(q)
+                if res is None:
+                    self._register(q)
+                    frames.append((q, self._evaluation(q)))
+                elif top is not None:
+                    deps[q][top] = None
+        except BaseException:
+            for k, _ in frames:
+                if k is not None:
+                    self._enqueue(k)
+            raise
 
     def _evaluation(self, key):
         # keys carry at least arity(f) arguments, so every rule applies to a

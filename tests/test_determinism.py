@@ -17,14 +17,14 @@ SEEDS = (1, 2, 3)
 # one parity saturation and one `nondet 2` chain walk at n=2, printing
 # (keys, confirmed, evaluations) of each engine, then the same for a
 # `bin 2 1 1` chain walk at n=2, then the same counters of eager engines on
-# four corpus programs, then the rule applications of one enumeration of the
-# parity machine
+# four corpus programs, then the rule applications of enumerations of the
+# parity and contains_11 machines, and of one whose step cap binds
 COUNTERS = """\
 from consfree import counting
 from consfree.interp import Budget, eval_all
 from consfree.parser import parse_program
 from consfree.saturate import SaturationEngine, abstract
-from consfree.turing import compile_tm, tm_parity
+from consfree.turing import compile_tm, tm_contains_11, tm_parity
 from corpus import CORPUS
 
 engines = []
@@ -56,6 +56,15 @@ for name, bits in [("parity", "110"), ("const_closure", "1"),
 res = eval_all(p, counting.mk_call(p, "start", [counting.bits_term("10110")]),
                Budget(max_depth=1 << 20, max_steps=10 ** 8))
 print("eval_all steps", res.steps_used, res.complete)
+c11 = compile_tm(tm_contains_11()).program
+res = eval_all(c11, counting.mk_call(c11, "start", [counting.bits_term("10110")]),
+               Budget(max_depth=1 << 20, max_steps=10 ** 8))
+print("contains_11 eval_all steps", res.steps_used, res.complete)
+seen = []
+res = eval_all(p, counting.mk_call(p, "start", [counting.bits_term("10110")]),
+               Budget(max_depth=1 << 20, max_steps=1000), trace=seen.append)
+print("capped eval_all", res.steps_used, res.complete, len(res.results),
+      len(seen))
 """
 
 
@@ -87,6 +96,11 @@ def test_saturation_counters_do_not_depend_on_hash_seed():
         assert "\n%s\n" % line in outs[0], outs[0]
     # one depth-bounded search: iterative deepening took 8993 steps here
     assert "\neval_all steps 1899 True\n" in outs[0], outs[0]
+    # the enumerator's counters, as the rule walk gave them before the rule
+    # plans; under a binding step cap, the steps run out before any result
+    # and the trace holds the data values produced by then
+    assert "\ncontains_11 eval_all steps 1435 True\n" in outs[0], outs[0]
+    assert "\ncapped eval_all 1000 False 0 51\n" in outs[0], outs[0]
     assert outs == [outs[0]] * len(SEEDS)
 
 

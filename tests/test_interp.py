@@ -3,9 +3,12 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from consfree import interp
 from consfree.counting import bits_term, gen_lincount, make_input, mk_call
-from consfree.interp import Budget, eval_all, match_pattern
-from consfree.lang import Con, Pair, Product, Sort, is_data_term
+from consfree.interp import Budget, eval_all
+from consfree.lang import (
+    Con, Pair, Product, Sort, Var, apply_term, is_data_term,
+)
 from consfree.parser import parse_data_term, parse_program, print_term
 from corpus import CORPUS, PRELUDE, bitset_probe_programs
 
@@ -27,6 +30,108 @@ def start(p, bits):
 
 def names(result):
     return {print_term(v) for v in result.results}
+
+
+# -- a reference reading of the rules -----------------------------------------
+#
+# The enumerator's plans share their pattern matcher with the saturation
+# engine's (`consfree.plan`), so a fault there could make the two engines
+# agree wrongly.  This walk is the enumerator's reading without plans: on
+# every rule application it matches the patterns against the values and
+# substitutes the bindings into the right-hand side.
+
+def _match(pat, val, subst):
+    """Bind pat's variables in subst, left to right; a ground part of the
+    pattern is compared with one ==."""
+    stack = [(pat, val)]
+    while stack:
+        pat, val = stack.pop()
+        cls = pat.__class__
+        if pat._data:
+            if pat != val:
+                return False
+        elif cls is Var:
+            subst[pat.name] = val
+        elif val.__class__ is not cls:
+            return False
+        elif cls is Pair:
+            stack += ((pat.right, val.right), (pat.left, val.left))
+        elif val.name != pat.name:
+            return False
+        else:
+            stack += reversed(tuple(zip(pat.args, val.args)))
+    return True
+
+
+def match_pattern(pattern, value):
+    """The unique substitution with pattern*subst == value, or None."""
+    subst = {}
+    return subst if _match(pattern, value, subst) else None
+
+
+def substitute(s, subst):
+    """s with its variables replaced by their bindings; an applied variable
+    gets its arguments appended."""
+    if s._data:
+        return s
+    built = []  # finished children, in order
+    stack = [(s, False)]
+    while stack:
+        t, ready = stack.pop()
+        cls = t.__class__
+        if ready:
+            n = 2 if cls is Pair else len(t.args)
+            args = tuple(built[-n:])
+            del built[-n:]
+            if cls is Var:
+                built.append(apply_term(subst[t.name], args))
+            elif cls is Pair:
+                built.append(Pair(args[0], args[1], t.type))
+            else:
+                built.append(cls(t.name, args, t.type))
+        elif t._data:
+            built.append(t)
+        elif cls is Pair:
+            stack += ((t, True), (t.right, False), (t.left, False))
+        elif not t.args:
+            built.append(subst[t.name] if cls is Var else t)
+        else:
+            stack.append((t, True))
+            stack += [(a, False) for a in reversed(t.args)]
+    return built[0]
+
+
+def _walk(p, f):
+    """The rule walk of f, with the protocol of `interp.compile_plan`."""
+    arity, rules = p.arity[f], p.rules_for(f)
+
+    def ev(s, c, fuel):
+        found, found_ex = set(), True
+        for rule in rules:
+            subst = {}
+            if not all(_match(l, v, subst) for l, v in zip(rule.lhs.args, c)):
+                continue
+            if fuel <= 0 or s.steps >= s.budget.max_steps:
+                found_ex = False
+                continue
+            s.steps += 1
+            reduct = apply_term(substitute(rule.rhs, subst), c[arity:])
+            vs, ex = yield reduct, fuel - 1
+            found |= vs
+            found_ex = found_ex and ex
+        return found, found_ex
+    return ev
+
+
+class _WalkSearch(interp._Search):
+    def plan(self, f):
+        return _walk(self.p, f)
+
+
+def _traced(p, term, budget):
+    seen = []
+    res = eval_all(p, term, budget, trace=seen.append)
+    return res.results, res.complete, res.steps_used, seen
 
 
 def test_match_pattern():
@@ -53,6 +158,71 @@ def test_match_pair_pattern():
              Product(LIST, LIST))
     subst = match_pattern(pat, v)
     assert subst is not None and print_term(subst["y"]) == "false"
+
+
+# not cons-free: its reducts build lists and pairs, apply a variable, reuse
+# a matched pair, and apply closures past their symbols' arity, among them a
+# bare argument (`pickf g -> g`) that a later rule reads again
+BUILDER = parse_program(PRELUDE + """\
+fun start : list => bool
+fun rev : list => list => list
+fun twice : (list => list) => list => list
+fun head : list => bool
+fun pick : list * list => list
+fun swap : list * list => list * list
+fun sel : bool => list => bool
+fun always : list => bool
+fun pickf : (bool => bool) => bool => bool
+fun negf : (bool => bool) => bool => bool
+fun notb : bool => bool
+rules:
+start cs -> head (pick (swap (twice (rev []) cs, true::cs)))
+start (c::cs) -> sel c (c::cs)
+start (c::cs) -> pickf notb c
+rev acc [] -> acc
+rev acc (x::xs) -> rev (x::acc) xs
+twice f xs -> f (f xs)
+head [] -> false
+head (x::xs) -> x
+pick (xs, ys) -> xs
+pick (xs, ys) -> ys
+swap (xs, ys) -> (ys, false::xs)
+swap (xs, ys) -> (xs, ys)
+sel true -> always
+sel false -> head
+always xs -> true
+pickf g -> g
+pickf g -> negf g
+negf g x -> notb (g x)
+notb true -> false
+notb false -> true
+""")
+
+
+def test_plans_match_the_rule_walk(monkeypatch):
+    # results, flags, step counts and traces, including budgets whose step
+    # cap binds, so that the steps are counted in the same order too
+    budgets = [Budget(max_depth=40, max_steps=200_000),
+               Budget(max_depth=5, max_steps=50_000),
+               Budget(max_depth=3, max_steps=50_000),
+               Budget(max_depth=40, max_steps=7)]
+    inputs = [""] + ["{:0{}b}".format(i, n) for n in (1, 2, 3)
+                     for i in range(1 << n)]
+    runs = [(name, p, start(p, bits), budget)
+            for name, p in PROGRAMS + [("builder", BUILDER)]
+            for bits in inputs for budget in budgets]
+    # closures applied past their arity and calls that never finish
+    runs += [("probe", p, mk_call(p, "go", [make_input(n)]), budget)
+             for p, n in PROBES for budget in budgets]
+    capped = 0
+    for name, p, term, budget in runs:
+        planned = _traced(p, term, budget)
+        with monkeypatch.context() as m:
+            m.setattr(interp, "_Search", _WalkSearch)
+            walked = _traced(p, term, budget)
+        assert planned == walked, (name, print_term(term), budget)
+        capped += planned[2] == budget.max_steps
+    assert capped > 100, capped
 
 
 def test_choose_complete():

@@ -8,7 +8,7 @@ import types
 import pytest
 
 import consfree.saturate as saturate_module
-from consfree import counting
+from consfree import counting, interp
 from consfree.counting import bits_term, gen_nondetcount, mk_call
 from consfree.interp import Budget, eval_all
 from consfree.lang import Arrow, Product, Sort
@@ -199,6 +199,19 @@ def test_statements_dump_marks_confirmed():
 
 
 # -- generated plans: names and sizes the generated source must survive ------
+
+def test_every_plan_compiles():
+    # plans compile when their symbol is first called, so a symbol no other
+    # test calls would hide a plan that does not compile
+    generated = [("parity machine", compile_tm(tm_parity()).program),
+                 ("bin 2 1 1", counting.gen_bincount(2, 1, 1).program),
+                 ("nondet 2", gen_nondetcount(2).program)]
+    for name, p in PROGRAMS + generated:
+        for f in p.table.defined:
+            assert callable(interp.compile_plan(p, f)), (name, f)
+            for mode in ("demand", "eager"):
+                assert callable(compile_plan(p, f, mode)), (name, f, mode)
+
 
 def _agrees_with_enumeration(src, inputs, results=None):
     """Saturation equals the complete enumeration on each input."""
@@ -467,6 +480,48 @@ def test_domain_cap_in_nested_evaluation_leaves_engine_consistent():
     with pytest.raises(DomainCapExceeded):
         engine.call("start", (abstract(cs),))
     assert len(engine.table) == 50
+    # the unfinished evaluations were queued again, so the engine can go on
+    # once the cap is raised, and answers as a fresh engine does
+    engine.key_cap = 2_000_000
+    vals = engine.call("start", (abstract(cs),))
+    assert {concrete(v).name for v in vals} == {"false"}
+    assert engine.stats.keys == 951
+
+
+class _Stop(Exception):
+    pass
+
+
+class _Fused(SaturationEngine):
+    """Raises _Stop in the fuse-th evaluation, when it first runs."""
+
+    fuse = 0
+
+    def _evaluation(self, key):
+        gen = super()._evaluation(key)
+        self.fuse -= 1
+        return self._stop() if self.fuse == 0 else gen
+
+    def _stop(self):
+        raise _Stop
+        yield
+
+
+def test_engine_answers_after_an_exception_in_any_evaluation():
+    # loop_with_escape evaluates `start cs`, then `loop cs` nested in it,
+    # then `loop cs` again from the worklist, as it queries itself: the
+    # exception hits each of the three in turn
+    p = BY_NAME["loop_with_escape"]
+    cs = bits_term("1")
+    fresh = SaturationEngine(p, [cs])
+    want = fresh.call("start", (abstract(cs),))
+    assert (fresh.stats.keys, fresh.stats.evaluations) == (2, 3)
+    for fuse in (1, 2, 3):
+        engine = _Fused(p, [cs])
+        engine.fuse = fuse
+        with pytest.raises(_Stop):
+            engine.call("start", (abstract(cs),))
+        assert engine.call("start", (abstract(cs),)) == want, fuse
 
 
 # -- resource guards and preconditions --------------------------------------
