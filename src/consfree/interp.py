@@ -55,9 +55,10 @@ class EvalResult:
 # Each rule is a block that a failed pattern test leaves by `break`.  A rule
 # that matches asks the budget for one application; if the budget admits it,
 # its reduct is built one statement per right-hand-side node and handed to
-# the search.  Ground data is a constant, a subterm equal to a pattern node
-# is the value that node matched (so a cons-free program builds no
-# constructor term), and the other nodes are built from their children.
+# the search.  A ground subterm (data, or a closure or call with no
+# variable) is a constant, a subterm equal to a pattern node is the value
+# that node matched (so a cons-free program builds no constructor term),
+# and the other nodes are built from their children.
 
 def compile_plan(p: Program, f: str):
     """The enumerator's plan of f's rules.  `ev(s, c, fuel)` is a generator
@@ -141,6 +142,11 @@ class _Plan(PlanWriter):
         xs = []
         for kid in ((t.left, t.right) if cls is Pair else t.args):
             xs.append((yield kid))
+        # constants are the names of the function's namespace, and no local
+        # is: a term whose children are all constants holds no variable, so
+        # a ground closure or call is built once, as data is
+        if cls is not Var and all(x in self.env for x in xs):
+            return self.const(t)
         args = "(%s)" % "".join(x + ", " for x in xs)
         if cls is Var:
             built = "apply_term(%s, %s)" % (self.vars[t.name][0], args)

@@ -347,9 +347,12 @@ class Program:
     # saturation engine's "demand" and "eager") and symbol, compiled when a
     # symbol is first evaluated
     _plans: dict = field(init=False, repr=False, compare=False)
+    # whether the program is cons-free, once the saturation engine has asked
+    _cons_free: Optional[bool] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self._plans = {}
+        self._cons_free = None
         self._by_head = {}
         for r in self.rules:
             self._by_head.setdefault(r.lhs.name, []).append(r)

@@ -30,6 +30,14 @@ on one explicit stack (`SaturationEngine._drive`), at any depth and without
 Python recursion.  Whenever a key's confirmed set grows, the worklist
 re-evaluates the keys that queried it, which keeps cyclic dependencies
 sound.
+
+The table maps each key to its statement record (`Statement`): the
+confirmed set itself, with the key, its registration index and its
+dependants.  A queried key is hashed once to find its record, and a new
+key once more to insert it; the frames, the worklist and confirmation
+then work on records.  Dependants are held by registration index, not as
+records, so records never refer to each other and a discarded engine is
+freed by reference counting alone, with no cycles for the collector.
 """
 
 from __future__ import annotations
@@ -56,9 +64,9 @@ class SaturationPrecondition(Exception):
 
 
 # ---------------------------------------------------------------------------
-# Abstract values.  Hashing is O(1): Base reuses its term's cached hash,
-# PairAV caches one built from its components' hashes, and FunAV's frozenset
-# caches its own.
+# Abstract values.  Hashing is O(1): Base reuses its term's cached hash, and
+# PairAV and FunAV cache the hash a dataclass would compute from their
+# fields.
 
 @dataclass(frozen=True, slots=True)
 class Base:
@@ -84,6 +92,13 @@ class PairAV:
 @dataclass(frozen=True, slots=True)
 class FunAV:
     graph: frozenset  # of (AV, AV) pairs
+    _hash: int = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.graph,)))
+
+    def __hash__(self):
+        return self._hash
 
 
 AV = object
@@ -430,6 +445,24 @@ class SaturationStats:
         }
 
 
+class Statement(set):
+    """The record of one statement key: the set of its confirmed values (the
+    record is that set), the key, its registration index and its
+    dependants, the indices of the keys to re-evaluate when the set grows.
+    The dependants sit in an insertion-ordered dict, so they are re-queued
+    in the order they first read the key, the order the pinned counters
+    follow (a set of indices would iterate by value).  Indices, not
+    records, keep records from referring to each other."""
+
+    __slots__ = ("key", "index", "deps", "queued")
+
+    def __init__(self, key, index):
+        self.key = key
+        self.index = index
+        self.deps = {}        # index of a dependant -> None
+        self.queued = False   # on the worklist
+
+
 class SaturationEngine:
     """Monotone statement-confirmation fixpoint over abstract values.
 
@@ -441,7 +474,9 @@ class SaturationEngine:
                  domain_cap: int = 200_000, key_cap: int = 2_000_000):
         if mode not in ("demand", "eager"):
             raise ValueError("mode must be 'demand' or 'eager'")
-        if not is_cons_free(program)[0]:
+        if program._cons_free is None:
+            program._cons_free = is_cons_free(program)[0]
+        if not program._cons_free:
             raise SaturationPrecondition("program is not cons-free")
         self.p = program
         self.mode = mode
@@ -449,12 +484,9 @@ class SaturationEngine:
         self.key_cap = key_cap
         self.base = build_base(program, inputs)
         self.stats = SaturationStats(base_size=len(self.base))
-        self.table = {}    # (f, avs) -> set of AV
-        self.deps = {}     # key -> keys to re-evaluate when it grows, in an
-                           # insertion-ordered dict: a set of keys would
-                           # iterate in an order set by PYTHONHASHSEED
-        self.queue = deque()
-        self.queued = set()
+        self.table = {}    # (f, avs) -> its Statement
+        self.stmts = []    # registration index -> Statement
+        self.queue = deque()  # Statements to re-evaluate, each at most once
         self._domains = {}
         self._plans = program._plans.setdefault(mode, {})  # symbol -> ev
         if mode == "eager":
@@ -541,55 +573,59 @@ class SaturationEngine:
             for j, t in enumerate(arg_types):
                 if j >= self.p.arity[f]:
                     for c in combos:
-                        self._enqueue((f, c))
+                        self._enqueue(self._register((f, c)))
                 dom = self.domain(t)
                 combos = [c + (a,) for c in combos for a in dom]
             for c in combos:
-                self._enqueue((f, c))
+                self._enqueue(self._register((f, c)))
 
     def _solve(self, key) -> set:
-        if key not in self.table:
-            self._register(key)
-            self._drive(key, self._evaluation(key))
+        rec = self.table.get(key)
+        if rec is None:
+            rec = self._register(key)
+            self._drive(rec, self._evaluation(rec))
         self._run()
-        return set(self.table[key])
+        return set(rec)
 
-    def _register(self, key):
-        if len(self.table) >= self.key_cap:
+    def _register(self, key) -> Statement:
+        """The record of a key not in the table, entered in it."""
+        stmts = self.stmts
+        if len(stmts) >= self.key_cap:
             raise DomainCapExceeded(
                 "statement table exceeded %d keys" % self.key_cap)
-        self.table[key] = set()
-        self.deps[key] = {}
+        rec = self.table[key] = Statement(key, len(stmts))
+        stmts.append(rec)
         self.stats.keys += 1
+        return rec
 
-    def _enqueue(self, key):
-        if key not in self.table:
-            self._register(key)
-        if key not in self.queued:
-            self.queued.add(key)
-            self.queue.append(key)
+    def _enqueue(self, rec):
+        if not rec.queued:
+            rec.queued = True
+            self.queue.append(rec)
 
     def _run(self):
-        while self.queue:
-            key = self.queue.popleft()
-            self.queued.discard(key)
-            self._drive(key, self._evaluation(key))
+        queue = self.queue
+        while queue:
+            rec = queue.popleft()
+            rec.queued = False
+            self._drive(rec, self._evaluation(rec))
         self.stats.passes += 1
 
     # -- statement confirmation --------------------------------------------
 
-    def _drive(self, key, gen):
-        """Run gen, the evaluation of key (None: a read that is no key's
-        evaluation), and return its result.  Evaluations are frames on an
-        explicit stack.  A query of a known key, even one on the stack, is
-        sent that key's set as it stands, and the querying key becomes its
-        dependant.  A new key's frame is pushed; when it ends, its results
-        are confirmed, the caller is sent its set and only then becomes a
-        dependant, so this first growth does not re-queue the caller.  An
-        exception (a cap, an interrupt) re-queues every keyed frame it
-        leaves unfinished, so a later call evaluates those keys again."""
-        table, deps = self.table, self.deps
-        frames, res = [(key, gen)], None
+    def _drive(self, rec, gen):
+        """Run gen, the evaluation of rec's key (rec None: a read that is no
+        key's evaluation), and return its result.  Evaluations are frames
+        on an explicit stack.  A query of a known key, even one on the
+        stack, is sent that key's record as it stands, and the querying key
+        becomes its dependant.  A new key's frame is pushed; when it ends,
+        its results are confirmed, the caller is sent its record and only
+        then becomes a dependant, so this first growth does not re-queue
+        the caller.  An exception (a cap, an interrupt) re-queues every
+        keyed frame it leaves unfinished, so a later call evaluates those
+        keys again."""
+        table = self.table
+        frames, res = [(rec, gen)], None
         try:
             while True:
                 top, gen = frames[-1]
@@ -602,39 +638,40 @@ class SaturationEngine:
                     res = self._confirm(top, stop.value)
                     if not frames:
                         return res
-                    if frames[-1][0] is not None:
-                        deps[top][frames[-1][0]] = None
+                    caller = frames[-1][0]
+                    if caller is not None:
+                        res.deps[caller.index] = None
                     continue
                 res = table.get(q)
-                if res is None:
-                    self._register(q)
-                    frames.append((q, self._evaluation(q)))
+                if res is None:  # sent None: the new frame starts
+                    new = self._register(q)
+                    frames.append((new, self._evaluation(new)))
                 elif top is not None:
-                    deps[q][top] = None
+                    res.deps[top.index] = None
         except BaseException:
-            for k, _ in frames:
-                if k is not None:
-                    self._enqueue(k)
+            for r, _ in frames:
+                if r is not None:
+                    self._enqueue(r)
             raise
 
-    def _evaluation(self, key):
+    def _evaluation(self, rec):
         # keys carry at least arity(f) arguments, so every rule applies to a
         # prefix and any remaining arguments are fed to the resulting graphs
-        f, avs = key
+        f, avs = rec.key
         ev = self._plans.get(f)
         if ev is None:
             ev = self._plans[f] = compile_plan(self.p, f, self.mode)
         self.stats.evaluations += 1
         return ev(self, avs)
 
-    def _confirm(self, key, new):
-        old = self.table[key]
-        if not new <= old:
-            self.stats.confirmed += len(new - old)
-            old |= new
-            for dep in self.deps[key]:
-                self._enqueue(dep)
-        return old
+    def _confirm(self, rec, new):
+        if not new <= rec:
+            self.stats.confirmed += len(new - rec)
+            rec |= new
+            stmts = self.stmts
+            for i in rec.deps:
+                self._enqueue(stmts[i])
+        return rec
 
     def _partial_values(self, f, avs, arg_types):
         """The values of the closure f avs: its maximal graph, and in eager

@@ -1,5 +1,7 @@
 """The enumerating evaluator and its oracle-grade guarantees."""
 
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -223,6 +225,35 @@ def test_plans_match_the_rule_walk(monkeypatch):
         assert planned == walked, (name, print_term(term), budget)
         capped += planned[2] == budget.max_steps
     assert capped > 100, capped
+
+
+def _plan_source(monkeypatch, p, f):
+    """The lines of the enumerator's generated plan of f."""
+    lines = []
+    with monkeypatch.context() as m:
+        m.setattr(interp._Plan, "compile", lambda self, ls: lines.extend(ls))
+        interp.compile_plan(p, f)
+    return lines
+
+
+def test_plans_build_no_ground_term(monkeypatch):
+    # a reduct's ground subterms are constants of the plan, closures and
+    # calls as well as data: every term a plan builds has a variable in it
+    built = re.compile(r"\s*r\d+ = (Con|Fun|Pair)\((.*)\)$")
+    local = re.compile(r"\b[artv]\d+\b")
+    count = 0
+    for name, p in PROGRAMS + [("builder", BUILDER)]:
+        for f in p.table.defined:
+            for line in _plan_source(monkeypatch, p, f):
+                m = built.match(line)
+                if m:
+                    count += 1
+                    assert local.search(m.group(2)), (name, f, line)
+    assert count > 50, count
+    # among them `rev []` in BUILDER's first rule, and `sel true -> always`,
+    # which hands the search the constant closure
+    sel = _plan_source(monkeypatch, BUILDER, "sel")
+    assert not any("Fun(" in line for line in sel), sel
 
 
 def test_choose_complete():

@@ -1,5 +1,6 @@
 """The terminating all-results evaluator over finite abstract domains."""
 
+import gc
 import os
 import subprocess
 import sys
@@ -19,7 +20,7 @@ from consfree.saturate import (
     downset, geq, interpret_type, saturate,
 )
 from consfree.turing import compile_tm, tm_parity
-from corpus import CORPUS, PRELUDE
+from corpus import CORPUS, PRELUDE, bitset_probe_programs
 
 BOOL = Sort("bool")
 LIST = Sort("list")
@@ -370,20 +371,21 @@ class _Worklist(SaturationEngine):
     sent its empty set, and the querying evaluation runs again when the key
     grows."""
 
-    def _drive(self, key, gen):
+    def _drive(self, rec, gen):
         res = None
         while True:
             try:
                 q = gen.send(res)
             except StopIteration as stop:
-                if key is None:
+                if rec is None:
                     return stop.value
-                return self._confirm(key, stop.value)
-            if q not in self.table:
-                self._enqueue(q)
-            res = self.table[q]
-            if key is not None:
-                self.deps[q][key] = None
+                return self._confirm(rec, stop.value)
+            res = self.table.get(q)
+            if res is None:
+                res = self._register(q)
+                self._enqueue(res)
+            if rec is not None:
+                res.deps[rec.index] = None
 
 
 def _solve_both(monkeypatch, solve):
@@ -424,6 +426,99 @@ def test_local_solver_matches_worklist(monkeypatch):
             assert (stats.keys, stats.evaluations) == (2218, 4568), stats
 
 
+# -- statement records ----------------------------------------------------------
+
+def test_a_query_hashes_its_key_once(monkeypatch):
+    # the table maps each key to its record, and the frames, the worklist
+    # and the dependants work on records.  An engine that hashed a key again
+    # for each of its dicts made 38 654 Base and 40 626 PairAV hashes here
+    cs = bits_term("111111")
+    p, acs = compile_tm(tm_parity()).program, abstract(cs)
+    counts = {Base: 0, PairAV: 0}
+    for cls in counts:
+        def counted(self, cls=cls, orig=cls.__hash__):
+            counts[cls] += 1
+            return orig(self)
+        monkeypatch.setattr(cls, "__hash__", counted)
+    engine = SaturationEngine(p, [cs])
+    engine.call("start", (acs,))
+    assert engine.stats.keys == 2218
+    assert counts[Base] <= 38_654 // 3 and counts[PairAV] <= 40_626 // 3, counts
+
+
+def test_discarded_engine_leaves_no_cyclic_garbage():
+    # dependants are held by registration index, so records never refer to
+    # each other and an engine is freed by reference counting alone
+    cm = gen_nondetcount(2)
+    gc.collect()
+    gc.disable()
+    try:
+        assert counting.chain_length_saturate(cm, 2) == 7
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+# -- the finished table is a fixpoint ------------------------------------------
+
+def _assert_closed(engine, label):
+    """Every key's plan, run once more with each query answered from the
+    finished table, queries only known keys and returns nothing its key has
+    not confirmed.  Results alone cannot show a key that missed its
+    re-evaluation after a key it read grew; this check can."""
+    table = engine.table
+    size = len(table)
+    for key, rec in list(table.items()):
+        f, avs = key
+        gen, res = engine._plans[f](engine, avs), None
+        while True:
+            try:
+                q = gen.send(res)
+            except StopIteration as stop:
+                assert stop.value <= rec, (label, key)
+                break
+            res = table.get(q)
+            assert res is not None, (label, key, q)
+    assert len(table) == size, label
+
+
+def test_finished_tables_are_closed_on_the_corpus():
+    inputs = [""] + ["{:0{}b}".format(i, n) for n in (1, 2, 3)
+                     for i in range(1 << n)]
+    checked = 0
+    for name, p in PROGRAMS:
+        for b in inputs:
+            cs = bits_term(b)
+            for mode in ("demand", "eager"):
+                try:  # eager mode seeds every key when the engine is built
+                    engine = SaturationEngine(p, [cs], mode=mode)
+                    engine.call("start", (abstract(cs),))
+                except DomainCapExceeded:
+                    assert mode == "eager", (name, b)
+                    continue
+                _assert_closed(engine, (name, b, mode))
+                checked += 1
+    assert checked > 2 * len(PROGRAMS) * len(inputs) - 20, checked
+
+
+def test_finished_tables_are_closed_on_probes_and_chains():
+    for name, p, _, ns in bitset_probe_programs():
+        for n in ns:
+            cs = counting.make_input(n)
+            engine = SaturationEngine(p, [cs])
+            engine.call("go", (abstract(cs),))
+            _assert_closed(engine, (name, n))
+    cs = bits_term("111111")
+    engine = SaturationEngine(compile_tm(tm_parity()).program, [cs])
+    engine.call("start", (abstract(cs),))
+    _assert_closed(engine, "parity 111111")
+    for label, cm, n, steps in (("bin 2 1 1", counting.gen_bincount(2, 1, 1), 2, 15),
+                                ("nondet 2", gen_nondetcount(2), 3, 127)):
+        walked, engine = _chain_engine(cm, n)
+        assert walked == steps, label
+        _assert_closed(engine, label)
+
+
 def test_stack_safe_under_default_recursion_limit():
     # under Python's default recursion limit, more evaluations are nested
     # than the limit allows Python frames, and every key is evaluated once
@@ -437,8 +532,8 @@ sys.setrecursionlimit(1000)
 class Deepest(S.SaturationEngine):
     live = deepest = 0
 
-    def _evaluation(self, key):
-        return self._counted(super()._evaluation(key))
+    def _evaluation(self, rec):
+        return self._counted(super()._evaluation(rec))
 
     def _counted(self, gen):
         self.live += 1
@@ -497,8 +592,8 @@ class _Fused(SaturationEngine):
 
     fuse = 0
 
-    def _evaluation(self, key):
-        gen = super()._evaluation(key)
+    def _evaluation(self, rec):
+        gen = super()._evaluation(rec)
         self.fuse -= 1
         return self._stop() if self.fuse == 0 else gen
 
