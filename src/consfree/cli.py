@@ -20,9 +20,10 @@ from .interp import Budget, eval_all
 from .lang import LangError, spine
 from .parser import ParseError, parse_data_term, parse_program, print_term
 from .saturate import (
-    DomainCapExceeded, SaturationEngine, SaturationPrecondition, print_av,
+    DomainCapExceeded, SaturationEngine, SaturationPrecondition,
 )
 from .turing import TMError, compile_tm, parse_tm
+from .values import print_av
 
 ENTRY = "start"
 

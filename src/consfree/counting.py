@@ -17,7 +17,8 @@ from typing import Callable
 
 from .lang import Arrow, Con, Fun, Product, Program, Sort, Term, Type
 from .parser import parse_program
-from .saturate import AV, Base, SaturationEngine, abstract, av_key, geq
+from .saturate import SaturationEngine
+from .values import AV, Base, abstract, av_key, geq
 from .interp import Budget, eval_all
 
 BOOL = Sort("bool")

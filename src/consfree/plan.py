@@ -7,12 +7,13 @@ Sestoft 1993).  The enumerator (`interp.compile_plan`) and the saturation
 engine (`saturate.compile_plan`) write their own right-hand sides; the
 pattern half, constants and fresh names are `PlanWriter`'s.
 
-Only identifiers and integers made here go into the source.  Symbols,
-types and ground terms enter as constants `K<i>` of the function's
+Only identifiers and integers go into the source.  Symbols, types and
+the enumerator's ground terms enter as constants `K<i>` of the function's
 namespace, since a program's identifiers may hold `'` or be Python
-keywords.  The code stays flat (one statement per pattern node and per
-right-hand-side node, loops never nested in loops), so no term size runs
-into Python's limits on nested blocks, indentation or parentheses.
+keywords; the saturation engine's ground data enter as their ids.  The
+code stays flat (one statement per pattern node and per right-hand-side
+node, loops never nested in loops), so no term size runs into Python's
+limits on nested blocks, indentation or parentheses.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ class PlanWriter:
         self.env = env    # the generated function's namespace
         self.consts = {}  # (class, object) -> name in self.env
         self.count = 0
+        self.needs = set()  # tables the id form reads (`NODE`)
 
     def const(self, obj) -> str:
         key = (obj.__class__, obj)
@@ -48,46 +50,63 @@ class PlanWriter:
         exec(compile("\n".join(lines), "<plan>", "exec"), self.env)
         return self.env["ev"]
 
-    def match(self, pat, loc, at_av):
-        """Guards and bindings that match pat against the value in loc: an
-        abstract value if at_av, else a data term.  A well-typed value's
-        class at a pattern node is fixed by its type, so a data term needs
-        only name tests, and a ground pattern is one comparison.
+    def match(self, pat, loc, by_id):
+        """Guards and bindings that match pat against the value in loc: a
+        data term, or if by_id a value's id in the saturation engine's
+        tables, whose node tuples the generated code reads from `NODE`.
+        A well-typed value's class at a pattern node is fixed by its type,
+        so only constructor names are tested, and a ground pattern is one
+        comparison: of terms, or of ids, which are canonical (a subclass
+        that matches ids gives a ground pattern's id by `data_id`).
         Subpatterns are visited in pre-order, left to right, from an
         explicit stack, since a list pattern is as deep as it is long; each
         one that is not an unused variable is first bound to a local of its
-        own, recorded in `vars` (variables) or `nodes` (the others)."""
-        stack = []  # (subpattern, expression for its value, at_av)
+        own, recorded with by_id in `vars` (variables) or `nodes` (the
+        others)."""
+        stack = []  # (subpattern, expression for its value)
         while True:
             cls, kids = pat.__class__, ()
             if cls is Var:
-                self.vars[pat.name] = (loc, at_av)
-            elif cls is Pair:
-                self.nodes[pat] = (loc, at_av)
-                if at_av:
-                    self.match_lines.append(
-                        "if %s.__class__ is not PairAV: break" % loc)
-                kids = ((pat.left, "%s.left" % loc, at_av),
-                        (pat.right, "%s.right" % loc, at_av))
+                self.vars[pat.name] = (loc, by_id)
             else:
-                self.nodes[pat] = (loc, at_av)
-                term = loc + ".term" if at_av else loc
-                test = "%s.__class__ is not Base or " % loc if at_av else ""
-                if pat.args and pat._data:  # a ground pattern: one comparison
-                    test += "%s != %s" % (term, self.const(pat))
-                else:
-                    test += "%s.name != %s" % (term, self.const(pat.name))
-                self.match_lines.append("if %s: break" % test)
-                if not pat._data:
-                    if at_av:
-                        term = self.fresh("t")
-                        self.match_lines.append("%s = %s.term" % (term, loc))
-                    kids = [(a, "%s.args[%d]" % (term, j), False)
-                            for j, a in enumerate(pat.args)]
+                self.nodes[pat] = (loc, by_id)
+                kids = (self._id_kids if by_id else self._term_kids)(pat, loc)
             stack += [k for k in reversed(kids)
                       if k[0].__class__ is not Var or k[0].name in self.used]
             if not stack:
                 return
-            pat, expr, at_av = stack.pop()
+            pat, expr = stack.pop()
             loc = self.fresh("t")
             self.match_lines.append("%s = %s" % (loc, expr))
+
+    def _term_kids(self, pat, loc):
+        """The guard of a pattern node matched against the term in loc,
+        and its subpatterns, each with the expression for its term."""
+        if pat.__class__ is Pair:
+            return ((pat.left, "%s.left" % loc), (pat.right, "%s.right" % loc))
+        if pat.args and pat._data:
+            self.match_lines.append("if %s != %s: break" % (loc, self.const(pat)))
+            return ()
+        self.match_lines.append("if %s.name != %s: break"
+                                % (loc, self.const(pat.name)))
+        return [(a, "%s.args[%d]" % (loc, j)) for j, a in enumerate(pat.args)]
+
+    def _id_kids(self, pat, loc):
+        """The guard of a pattern node matched against the id in loc, and
+        its subpatterns, each with the expression for its id: a
+        constructor's name is the first field of its node tuple, and its
+        children, or a pair's components, follow."""
+        if pat._data:
+            self.match_lines.append("if %s != %d: break" % (loc, self.data_id(pat)))
+            return ()
+        self.needs.add("NODE")
+        node = "NODE[%s]" % loc
+        kids = pat.args if pat.__class__ is not Pair else (pat.left, pat.right)
+        if any(k.__class__ is not Var or k.name in self.used for k in kids):
+            n = self.fresh("n")
+            self.match_lines.append("%s = %s" % (n, node))
+            node = n
+        if pat.__class__ is not Pair:
+            self.match_lines.append("if %s[0] != %s: break"
+                                    % (node, self.const(pat.name)))
+        return [(k, "%s[%d]" % (node, j)) for j, k in enumerate(kids, 1)]

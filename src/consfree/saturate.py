@@ -2,14 +2,27 @@
 
 Values are abstracted into finite domains: base data terms for sorts,
 pairs componentwise, and function graphs (sets of argument/result pairs)
-for arrows.  Claims `f A1 ... Am ~ O` are confirmed monotonically to a
-fixpoint; the data results of the goal call are read off the table.
+for arrows (`consfree.values`).  Claims `f A1 ... Am ~ O` are confirmed
+monotonically to a fixpoint; the data results of the goal call are read
+off the table.
 
-A key `(f, avs)` is evaluated by a generated evaluator, one per defined
+Inside an engine every abstract value is a small int, its id in the
+engine's intern tables (`values.Values`).  A data term gets its id in the
+walk that builds the base set B (`build_base`), a pair from its
+components' ids, and a function value from its graph, an int bitset.  So
+a statement key is a symbol and a tuple of ints, a confirmed set is a set
+of ints, data are compared as ints and graphs as bitsets.  The public
+methods (`call`, `eval_call`, `call_data`, `statements`) take and return
+value objects (`Base`, `PairAV`, `FunAV`), converted once per call; the
+fixpoint never hashes or compares one.
+
+A key `(f, ids)` is evaluated by a generated evaluator, one per defined
 symbol and mode (`compile_plan`): the source of one Python function that
 matches all of f's rules against the arguments and evaluates their
 right-hand sides, compiled when f is first evaluated and kept on the
-`Program`.  Two modes are two variants of that plan:
+`Program`.  The program's own ground data get the first ids in every
+engine, so a plan holds them as int constants.  Two modes are two variants
+of that plan:
 
 * demand   -- only statements reachable from the goal are materialized,
               and only maximal abstract values are propagated.  Down-set
@@ -43,159 +56,44 @@ freed by reference counting alone, with no cycles for the collector.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 
-from .analysis import allowed_data_terms, is_cons_free
-from .lang import (
-    Con, LangError, Pair, Product, Program, Sort, Term, Type, Var, drive,
-    spine, type_order,
-)
-from .parser import print_term
+from .analysis import is_cons_free
+from .lang import Con, Pair, Program, Type, Var, drive, spine, type_order
 from .plan import PlanWriter
-
-
-class DomainCapExceeded(Exception):
-    """An abstract domain grew past the configured cap."""
+from .values import DomainCapExceeded, Values, abstract, av_key, concrete
 
 
 class SaturationPrecondition(Exception):
     """The program or call does not meet the algorithm's preconditions."""
 
 
-# ---------------------------------------------------------------------------
-# Abstract values.  Hashing is O(1): Base reuses its term's cached hash, and
-# PairAV and FunAV cache the hash a dataclass would compute from their
-# fields.
-
-@dataclass(frozen=True, slots=True)
-class Base:
-    term: Term  # sort-typed data term
-
-    def __hash__(self):
-        return self.term._hash
-
-
-@dataclass(frozen=True, slots=True)
-class PairAV:
-    left: "AV"
-    right: "AV"
-    _hash: int = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.left, self.right)))
-
-    def __hash__(self):
-        return self._hash
+def _program_values(p: Program) -> Values:
+    """The tables every engine on p starts from: p's own ground data,
+    interned once per program and kept with its plans, which hold these
+    ids as constants.  The right-hand sides' data are in B; the ground
+    patterns follow, and enter B only when an input holds them."""
+    values = p._plans.get("values")
+    if values is None:
+        values = p._plans["values"] = Values()
+        values.intern([rule.rhs for rule in p.rules], True)
+        values.intern([a for rule in p.rules for a in rule.lhs.args])
+    return values
 
 
-@dataclass(frozen=True, slots=True)
-class FunAV:
-    graph: frozenset  # of (AV, AV) pairs
-    _hash: int = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.graph,)))
-
-    def __hash__(self):
-        return self._hash
-
-
-AV = object
-
-
-def abstract(d: Term) -> AV:
-    """Data term -> abstract value."""
-    if isinstance(d, Pair):
-        return PairAV(abstract(d.left), abstract(d.right))
-    return Base(d)
-
-
-def concrete(av: AV) -> Term:
-    if isinstance(av, Base):
-        return av.term
-    if isinstance(av, PairAV):
-        l, r = concrete(av.left), concrete(av.right)
-        return Pair(l, r, Product(l.type, r.type))
-    raise ValueError("no data term for a function value")
-
-
-def geq(a: AV, b: AV) -> bool:
-    if a is b:
-        return True
-    if isinstance(a, Base) and isinstance(b, Base):
-        return a == b
-    if isinstance(a, PairAV) and isinstance(b, PairAV):
-        return geq(a.left, b.left) and geq(a.right, b.right)
-    if isinstance(a, FunAV) and isinstance(b, FunAV):
-        return a.graph >= b.graph
-    return False
-
-
-def av_key(av: AV):
-    """Total order on abstract values, built by printing them.  It is for
-    display, the domains `interpret_type` enumerates and `counting._pick`
-    only; it never orders values that go into a set."""
-    if isinstance(av, Base):
-        return (0, print_term(av.term))
-    if isinstance(av, PairAV):
-        return (1, av_key(av.left), av_key(av.right))
-    return (2, len(av.graph), sorted((av_key(a), av_key(b)) for a, b in av.graph))
-
-
-def print_av(av: AV) -> str:
-    if isinstance(av, Base):
-        return print_term(av.term)
-    if isinstance(av, PairAV):
-        return "(%s, %s)" % (print_av(av.left), print_av(av.right))
-    pairs = sorted(av.graph, key=lambda p: (av_key(p[0]), av_key(p[1])))
-    return "{%s}" % "; ".join("%s -> %s" % (print_av(a), print_av(b))
-                              for a, b in pairs)
-
-
-# ---------------------------------------------------------------------------
-# Base set and type interpretation
-
-# the engine's base set B, under the name the benchmark's tracer wraps
-build_base = allowed_data_terms
-
-
-def interpret_type(t: Type, base, cap: int = 1_000_000) -> list:
-    """Fully enumerated abstract domain for a type: a sort's base terms,
-    the pairs of a product's domains, every graph below an arrow's full one.
-    A sort's terms are listed in `av_key` order, so every domain has a
-    canonical order."""
-    if isinstance(t, Sort):
-        return sorted((Base(d) for d in base if d.type == t), key=av_key)
-    if isinstance(t, Product):
-        return [PairAV(a, b) for a, b in _pairs(t, t.left, t.right, base, cap)]
-    return downset(FunAV(frozenset(_pairs(t, t.dom, t.cod, base, cap))), cap)
-
-
-def _pairs(t, left, right, base, cap) -> list:
-    ls, rs = interpret_type(left, base, cap), interpret_type(right, base, cap)
-    if len(ls) * len(rs) > cap:
-        raise DomainCapExceeded(
-            "%d pairs at type %s (cap %d)" % (len(ls) * len(rs), t, cap))
-    return [(a, b) for a in ls for b in rs]
-
-
-def _subsets(items):
-    out = [[]]
-    for x in items:
-        out += [s + [x] for s in out]
-    return [frozenset(s) for s in out]
-
-
-def downset(av: AV, cap: int = 1_000_000) -> list:
-    if isinstance(av, Base):
-        return [av]
-    if isinstance(av, PairAV):
-        return [PairAV(a, b)
-                for a in downset(av.left, cap) for b in downset(av.right, cap)]
-    if len(av.graph) > 60 or 2 ** len(av.graph) > cap:
-        raise DomainCapExceeded("down-set of a %d-pair graph" % len(av.graph))
-    return [FunAV(s) for s in _subsets(av.graph)]
+def build_base(p: Program, inputs, values: Values = None) -> list:
+    """The base set B: the data subterms of the inputs and of p's
+    right-hand sides, as a list of terms.  B is subterm-closed, and in a
+    cons-free program every data term of every derivation lies in it.  The
+    walk that builds it gives each term its id in `values` (new tables for
+    p when None), so building B costs one lookup per term and none inside
+    a term already in it, even when inputs share equal subterms built
+    apart."""
+    if values is None:
+        values = _program_values(p).copy()
+    values.intern(list(inputs), True)
+    return values.base
 
 
 # ---------------------------------------------------------------------------
@@ -203,43 +101,31 @@ def downset(av: AV, cap: int = 1_000_000) -> list:
 #
 # `compile_plan` writes the source of one generator function `ev(engine,
 # avs)` for all the rules of a symbol and compiles it (see `consfree.plan`).
-# A rule's patterns become class and name tests on the arguments that bind
-# each variable to a local, and its right-hand side becomes straight-line
-# code that yields the keys it queries in the order the rules' semantics
-# fixes: arguments left to right, every argument's set built before their
-# product, the first argument outermost, and the right of a pair only when
-# its left has a value.  The order of queries also follows the iteration
-# order of each set of values, which depends on the operations that built
-# the set, so every set is built one fixed way: a comprehension for a pair,
-# `set()` and `|=` per argument combination for a call, `|=` per rule for
-# the result.  The counters pinned in `tests/test_determinism.py` hold the
-# plans to that.
+# A rule's patterns become comparisons and name tests on the arguments' ids
+# that bind each variable to a local, and its right-hand side becomes
+# straight-line code that yields the keys it queries in the order the
+# rules' semantics fixes: arguments left to right, every argument's set
+# built before their product, the first argument outermost, and the right
+# of a pair only when its left has a value.  The order of queries also
+# follows the iteration order of each set of values, which depends on the
+# operations that built the set, so every set is built one fixed way: a
+# comprehension for a pair, `set()` and `|=` per argument combination for a
+# call, `|=` per rule for the result.  The counters pinned in
+# `tests/test_determinism.py` hold the plans to that.
 
 _ONE, _SET = "one", "set"  # a subject's values: one value, or a set of them
 
-
-def apply_values(funs, arg_values) -> set:
-    """Apply confirmed function values to confirmed argument values.
-    A graph entry (A, O) fires when some argument value dominates A."""
-    args = list(arg_values)
-    out = set()
-    for g in funs:
-        if not isinstance(g, FunAV):
-            raise LangError("applying a non-function abstract value")
-        for a, o in g.graph:
-            for v in args:
-                if geq(v, a):
-                    out.add(o)
-                    break
-    return out
+# what a plan's head binds from the engine's `Values`, when the plan uses it
+_TABLES = (("NODE", "node"), ("pair", "pair"), ("ap", "apply"),
+           ("apg", "apply_geq"))
 
 
 def compile_plan(p: Program, f: str, mode: str):
     """The evaluator of f's rules: `ev(engine, avs)` is a generator that
     yields each key it queries, is sent back that key's confirmed set, and
     returns the values confirmed now for the key (f, avs), where avs holds
-    at least arity(f) values.  In eager mode the plan closes the values of
-    higher-order variables and of closures under down-sets."""
+    the ids of at least arity(f) values.  In eager mode the plan closes the
+    values of higher-order variables and of closures under down-sets."""
     return _Plan(p, mode == "eager").build(f)
 
 
@@ -251,24 +137,38 @@ class _Plan(PlanWriter):
     """Writes and compiles the saturation evaluator of one symbol's rules."""
 
     def __init__(self, p: Program, eager: bool):
-        super().__init__(p, {"Base": Base, "PairAV": PairAV, "FunAV": FunAV,
-                             "abstract": abstract, "ap": apply_values,
-                             "downset": downset, "product": product})
+        super().__init__(p, {"product": product})
         self.eager = eager
+        self.ids = _program_values(p).ids
+
+    def data_id(self, t) -> int:
+        return self.ids[t]
 
     def build(self, f: str):
         k = self.p.arity[f]
-        over = len(spine(self.p.table.defined[f])[0]) > k
+        arg_types = spine(self.p.table.defined[f])[0]
+        over = len(arg_types) > k
+        # the arguments past the rules' own are applied one at a time
+        self.extra_ap = self.ap(*arg_types[k:]) if over else None
         body = []
         for rule in self.p.rules_for(f):
             body += self.rule(rule, over)
         head = ["def ev(engine, avs):", "    out = set()"]
+        if self.needs:
+            head.append("    V = engine.values")
+        head += ["    %s = V.%s" % table for table in _TABLES if table[0] in self.needs]
         head += ["    a%d = avs[%d]" % (i, i) for i in range(k)]
         if over:  # keys may carry arguments past the rules' own
             head.append("    extra = avs[%d:]" % k)
         # the bare yield is never reached: ev is a generator even if no rule
         # queries a key
         return self.compile(head + body + ["    return out", "    yield", ""])
+
+    def ap(self, *arg_types) -> str:
+        """The application of graphs to arguments of these types."""
+        name = "apg" if any(type_order(t) > 0 for t in arg_types) else "ap"
+        self.needs.add(name)
+        return name
 
     # -- one rule -------------------------------------------------------------
 
@@ -277,9 +177,8 @@ class _Plan(PlanWriter):
         its right-hand side, inside a `while True` that a failed guard
         leaves by `break`."""
         self.var_types = rule.var_types
-        self.vars = {}    # variable -> (local, whether it holds an AV)
-        self.nodes = {}   # pattern node -> (local, whether it holds an AV)
-        self.avs = {}     # term local -> local holding its AV
+        self.vars = {}    # variable -> (local holding its id, True)
+        self.nodes = {}   # pattern node -> (local holding its id, True)
         self.used = set()  # variables used outside a right-hand Con
         stack = [rule.rhs]
         while stack:
@@ -290,7 +189,7 @@ class _Plan(PlanWriter):
                 stack += t.args
                 if t.__class__ is Var:
                     self.used.add(t.name)
-        self.match_lines, self.prologue, self.lines = [], [], []
+        self.match_lines, self.lines = [], []
         for i, pat in enumerate(rule.lhs.args):
             self.match(pat, "a%d" % i, True)
         guarded = any(line.startswith("if ") for line in self.match_lines)
@@ -302,10 +201,10 @@ class _Plan(PlanWriter):
         if over:
             r = self.fresh("r")
             self.emit("%s = %s" % (r, x), "for e in extra:",
-                      "    %s = ap(%s, (e,))" % (r, r))
+                      "    %s = %s(%s, (e,))" % (r, self.extra_ap, r))
             x = r
         self.emit("out |= %s" % x)
-        pre = [self.indent + line for line in self.match_lines + self.prologue]
+        pre = [self.indent + line for line in self.match_lines]
         if not guarded:
             return pre + self.lines
         return ["    while True:"] + pre + self.lines + ["        break"]
@@ -319,61 +218,52 @@ class _Plan(PlanWriter):
             indent += "    "
         self.lines += [indent + line for line in block]
 
-    def av(self, loc, at_av, typ) -> str:
-        """A local holding the abstract value of what loc holds."""
-        if at_av:
-            return loc
-        v = self.avs.get(loc)
-        if v is None:
-            v = self.avs[loc] = self.fresh("v")
-            wrap = "abstract" if isinstance(typ, Product) else "Base"
-            self.prologue.append("%s = %s(%s)" % (v, wrap, loc))
-        return v
-
     # -- right-hand sides -----------------------------------------------------
 
     def subject(self, s):
         """Emit the code for s; returns (_ONE, a local or constant holding
-        its only value) or (_SET, a local holding the set of its values).
-        Each subterm's code is written by a `_subject` step that yields the
-        subterms it needs, so a deeply nested right-hand side does not
-        recurse."""
+        the id of its only value) or (_SET, a local holding the set of its
+        values' ids).  Each subterm's code is written by a `_subject` step
+        that yields the subterms it needs, so a deeply nested right-hand
+        side does not recurse."""
         return drive(self._subject, s)
 
     def _subject(self, s):
         cls = s.__class__
-        if s._data:  # ground data, built once
-            return _ONE, self.const(abstract(s))
-        if cls is Con:  # in a cons-free program, a subterm of the left-hand side
-            loc, at_av = self.nodes[s]
-            return _ONE, self.av(loc, at_av, s.type)
+        if s._data:  # ground data: its id, the same in every engine
+            return _ONE, str(self.data_id(s))
         if cls is Var:
             typ = self.var_types[s.name]
-            v = self.av(*self.vars[s.name], typ)
+            v = self.vars[s.name][0]
             if not s.args:
                 if self.eager and type_order(typ) > 0:
                     r = self.fresh("r")
-                    self.emit("%s = set(downset(%s, engine.cap))" % (r, v))
+                    self.needs.add("V")
+                    self.emit("%s = set(V.downset(%s, engine.cap))" % (r, v))
                     return _SET, r
                 return _ONE, v
             r, funs = self.fresh("r"), "(%s,)" % v
-            for a in s.args:
-                self.emit("%s = ap(%s, %s)" % (r, funs, _iterable(*(yield a))))
+            for a, t in zip(s.args, spine(typ)[0]):
+                args = _iterable(*(yield a))
+                self.emit("%s = %s(%s, %s)" % (r, self.ap(t), funs, args))
                 funs = r
             return _SET, r
+        if cls is Con:  # in a cons-free program, a subterm of the left-hand side
+            return _ONE, self.nodes[s][0]
         if cls is Pair:
             return (yield from self.pair(s))
         return (yield from self.call(s))
 
     def pair(self, s):
+        self.needs.add("pair")
         lk, left = yield s.left
         if lk is _ONE:
             rk, right = yield s.right
             r = self.fresh("r")
             if rk is _ONE:
-                self.emit("%s = PairAV(%s, %s)" % (r, left, right))
+                self.emit("%s = pair(%s, %s)" % (r, left, right))
                 return _ONE, r
-            self.emit("%s = {PairAV(x, y) for x, y in product((%s,), %s)}"
+            self.emit("%s = {pair(x, y) for x, y in product((%s,), %s)}"
                       % (r, left, right))
             return _SET, r
         # the right is evaluated only when the left has a value: a flag,
@@ -385,7 +275,7 @@ class _Plan(PlanWriter):
         right = _iterable(*(yield s.right))
         self.guard = outer
         r = self.fresh("r")
-        self.emit("%s = {PairAV(x, y) for x, y in product(%s, %s)} if %s else set()"
+        self.emit("%s = {pair(x, y) for x, y in product(%s, %s)} if %s else set()"
                   % (r, left, right, g))
         return _SET, r
 
@@ -411,8 +301,7 @@ class _Plan(PlanWriter):
                 vals = "(yield from engine._partial_values(%s, %s, %s))" % (
                     f, key, arg_types)
             else:
-                gm = "FunAV((yield from engine._gmax(%s, %s, %s)))" % (
-                    f, key, arg_types)
+                gm = "(yield from engine._gmax(%s, %s, %s))" % (f, key, arg_types)
                 if loop is None:
                     self.emit("%s = %s" % (r, gm))
                     return _ONE, r
@@ -446,8 +335,8 @@ class SaturationStats:
 
 
 class Statement(set):
-    """The record of one statement key: the set of its confirmed values (the
-    record is that set), the key, its registration index and its
+    """The record of one statement key: the set of its confirmed values' ids
+    (the record is that set), the key, its registration index and its
     dependants, the indices of the keys to re-evaluate when the set grows.
     The dependants sit in an insertion-ordered dict, so they are re-queued
     in the order they first read the key, the order the pinned counters
@@ -482,12 +371,13 @@ class SaturationEngine:
         self.mode = mode
         self.cap = domain_cap
         self.key_cap = key_cap
-        self.base = build_base(program, inputs)
+        self.values = _program_values(program).copy()
+        self.base = build_base(program, inputs, self.values)
         self.stats = SaturationStats(base_size=len(self.base))
-        self.table = {}    # (f, avs) -> its Statement
+        self.table = {}    # (f, ids) -> its Statement
         self.stmts = []    # registration index -> Statement
         self.queue = deque()  # Statements to re-evaluate, each at most once
-        self._domains = {}
+        self._display = {}  # type -> its domain, as ids in av_key order
         self._plans = program._plans.setdefault(mode, {})  # symbol -> ev
         if mode == "eager":
             self._seed_all()
@@ -495,9 +385,17 @@ class SaturationEngine:
     # -- domains ----------------------------------------------------------
 
     def domain(self, t: Type) -> list:
-        if t not in self._domains:
-            self._domains[t] = interpret_type(t, self.base, self.cap)
-        return self._domains[t]
+        """The domain of a type, as value objects in `av_key` order."""
+        return [self.values.public(i) for i in self._shown(t)]
+
+    def _shown(self, t: Type) -> list:
+        """The domain of a type, as ids in `av_key` order, for display."""
+        shown = self._display.get(t)
+        if shown is None:
+            public = self.values.public
+            shown = self._display[t] = sorted(
+                self.values.domain(t, self.cap), key=lambda i: av_key(public(i)))
+        return shown
 
     # -- public entry points ----------------------------------------------
 
@@ -514,7 +412,9 @@ class SaturationEngine:
         if type_order(cod) != 0:
             raise SaturationPrecondition(
                 "result type %s of %r has order > 0" % (cod, fname))
-        return self._solve((fname, tuple(avs)))
+        values = self.values
+        rec = self._solve((fname, tuple(map(values.from_public, avs))))
+        return set(map(values.public, rec))
 
     def eval_call(self, fname: str, avs) -> set:
         """Confirmed values of f applied to abstract arguments.  Unlike
@@ -523,18 +423,20 @@ class SaturationEngine:
         if fname not in self.p.table.defined:
             raise SaturationPrecondition("unknown defined symbol %r" % fname)
         arg_types, _ = spine(self.p.table.defined[fname])
-        avs = tuple(avs)
+        values = self.values
+        avs = tuple(map(values.from_public, avs))
         if len(avs) > len(arg_types):
             raise SaturationPrecondition(
                 "%r takes at most %d arguments, got %d"
                 % (fname, len(arg_types), len(avs)))
         if len(avs) >= self.p.arity[fname]:
-            return self._solve((fname, avs))
+            return set(map(values.public, self._solve((fname, avs))))
         # the closure's graph ranges over fixed domains, so the second read
         # opens no key and sees every key at its fixpoint
         self._drive(None, self._partial_values(fname, avs, arg_types))
         self._run()
-        return self._drive(None, self._partial_values(fname, avs, arg_types))
+        vals = self._drive(None, self._partial_values(fname, avs, arg_types))
+        return set(map(values.public, vals))
 
     def call_data(self, fname: str, inputs) -> set:
         """Goal call on data arguments; returns a set of data terms."""
@@ -547,18 +449,23 @@ class SaturationEngine:
         or "unconfirmed".  A claim of a higher type lists only its maximal
         confirmed values, marked "maximal": each stands for its down-set,
         and that type's whole domain may be past the cap."""
-        for (f, avs), confirmed in sorted(
-                self.table.items(), key=lambda kv: (kv[0][0], [av_key(a) for a in kv[0][1]])):
+        values = self.values
+        public = values.public
+        rows = sorted(((f, tuple(map(public, avs)), rec)
+                       for (f, avs), rec in self.table.items()),
+                      key=lambda row: (row[0], [av_key(a) for a in row[1]]))
+        for f, avs, confirmed in rows:
             cod = _result_type(self.p.table.defined[f], len(avs))
             if type_order(cod) == 0:
-                for o in self.domain(cod):
-                    yield (f, avs, o, "confirmed" if o in confirmed else "unconfirmed")
+                for o in self._shown(cod):
+                    yield (f, avs, public(o),
+                           "confirmed" if o in confirmed else "unconfirmed")
                 continue
             tops = []  # the confirmed values no other confirmed value is above
             for o in confirmed:
-                if not any(geq(w, o) for w in tops):
-                    tops = [w for w in tops if not geq(o, w)] + [o]
-            for o in sorted(tops, key=av_key):
+                if not any(values.geq(w, o) for w in tops):
+                    tops = [w for w in tops if not values.geq(o, w)] + [o]
+            for o in sorted(map(public, tops), key=av_key):
                 yield (f, avs, o, "maximal")
 
     # -- worklist ----------------------------------------------------------
@@ -574,18 +481,18 @@ class SaturationEngine:
                 if j >= self.p.arity[f]:
                     for c in combos:
                         self._enqueue(self._register((f, c)))
-                dom = self.domain(t)
+                dom = self.values.domain(t, self.cap)
                 combos = [c + (a,) for c in combos for a in dom]
             for c in combos:
                 self._enqueue(self._register((f, c)))
 
-    def _solve(self, key) -> set:
+    def _solve(self, key) -> Statement:
         rec = self.table.get(key)
         if rec is None:
             rec = self._register(key)
             self._drive(rec, self._evaluation(rec))
         self._run()
-        return set(rec)
+        return rec
 
     def _register(self, key) -> Statement:
         """The record of a key not in the table, entered in it."""
@@ -677,9 +584,9 @@ class SaturationEngine:
         """The values of the closure f avs: its maximal graph, and in eager
         mode every graph below it.  It and `_gmax` are generators that
         query keys as a plan does."""
-        g = FunAV((yield from self._gmax(f, avs, arg_types)))
+        g = yield from self._gmax(f, avs, arg_types)
         if self.mode == "eager":
-            return set(downset(g, self.cap))
+            return set(self.values.downset(g, self.cap))
         return {g}
 
     def _gmax(self, f, avs, arg_types):
@@ -687,15 +594,14 @@ class SaturationEngine:
         arguments captured): all (A, w) with w a confirmed result of
         f avs A -- or a nested closure graph while still under arity."""
         n = len(avs)
-        next_dom = self.domain(arg_types[n])
-        graph = set()
-        for a in next_dom:
+        entries = []
+        for a in self.values.domain(arg_types[n], self.cap):
             if n + 1 >= self.p.arity[f]:
                 ws = yield (f, avs + (a,))
             else:
                 ws = yield from self._partial_values(f, avs + (a,), arg_types)
-            graph.update((a, w) for w in ws)
-        return frozenset(graph)
+            entries += [(a, w) for w in ws]
+        return self.values.fun(entries)
 
 
 def _result_type(typ, n):

@@ -7,17 +7,24 @@ import sys
 import types
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import consfree.saturate as saturate_module
 from consfree import counting, interp
 from consfree.counting import bits_term, gen_nondetcount, mk_call
+from consfree.analysis import allowed_data_terms
 from consfree.interp import Budget, eval_all
-from consfree.lang import Arrow, Product, Sort
+from consfree import lang
+from consfree.lang import (
+    Arrow, Con, Fun, Pair, Product, Sort, Var, spine, type_order,
+)
 from consfree.parser import parse_program, print_term
 from consfree.saturate import (
-    Base, DomainCapExceeded, FunAV, PairAV, SaturationEngine,
-    SaturationPrecondition, abstract, build_base, compile_plan, concrete,
-    downset, geq, interpret_type, saturate,
+    DomainCapExceeded, SaturationEngine, SaturationPrecondition, build_base,
+    compile_plan, saturate,
+)
+from consfree.values import (
+    Base, FunAV, PairAV, abstract, concrete, downset, geq, interpret_type,
 )
 from consfree.turing import compile_tm, tm_parity
 from corpus import CORPUS, PRELUDE, bitset_probe_programs
@@ -47,6 +54,26 @@ def test_build_base_empty_rules():
     p = parse_program(PRELUDE)
     base = build_base(p, [dt("[]")])
     assert {print_term(t) for t in base} == {"[]"}
+
+
+def test_build_base_is_the_base_set():
+    # the walk that numbers the terms of B builds the same B as the
+    # analysis, also when an input holds a ground pattern, which every
+    # engine on the program has numbered before, outside B
+    p = parse_program(PRELUDE + """\
+fun start : list => bool
+rules:
+start (true::false::[]) -> true
+start cs -> false
+""")
+    cases = [(p, b) for b in ("10", "0", "110")]
+    cases += [(q, b) for _, q in PROGRAMS for b in ("", "01", "110")]
+    for q, b in cases:
+        cs = bits_term(b)
+        base = build_base(q, [cs])
+        assert len(set(base)) == len(base), b
+        assert set(base) == allowed_data_terms(q, [cs]), b
+    assert SaturationEngine(p, [bits_term("10")]).stats.base_size == 5
 
 
 def test_interpret_type_sizes():
@@ -79,11 +106,14 @@ def test_downset():
 
 def _matched(decls, rule, avs):
     """What one rule's plan returns on avs: its right-hand side lists the
-    values its pattern variables were bound to, or nothing matched."""
+    values its pattern variables were bound to, or nothing matched.  The
+    plan runs on ids; avs and the result are value objects."""
     p = parse_program(PRELUDE + decls + "rules:\n" + rule + "\n")
     ev = compile_plan(p, p.rules[0].lhs.name, "demand")
     engine = SaturationEngine(p, [])
-    return engine._drive(None, ev(engine, tuple(avs)))
+    values = engine.values
+    ids = tuple(values.from_public(av) for av in avs)
+    return set(map(values.public, engine._drive(None, ev(engine, ids))))
 
 
 def test_abstract_match():
@@ -100,6 +130,99 @@ def test_abstract_match_pair():
     decls = "fun f : (bool * list) => bool * list\n"
     assert _matched(decls, "f (x, ys) -> (x, ys)", [PairAV(t, xs)]) == {
         PairAV(t, xs)}
+
+
+# -- the id algebra against the value objects ---------------------------------
+
+def _apply_values(funs, arg_values) -> set:
+    """Function values applied to argument values, as the engine applies
+    ids: a graph entry (A, O) fires when some argument value lies above
+    A."""
+    return {o for g in funs for a, o in g.graph
+            if any(geq(v, a) for v in arg_values)}
+
+
+def _algebra_agrees(values, dom, arg_type=None, arg_dom=()):
+    """Over every pair of values of dom (value objects), the ids' order is
+    the objects' order, and id and object convert into each other.  When
+    dom's values are graphs over arguments of arg_type, listed in arg_dom,
+    applying each graph to each argument, and to all of them at once, gives
+    the same results on ids as on objects."""
+    ids = [values.from_public(av) for av in dom]
+    assert len(set(ids)) == len(dom)
+    for i, av in zip(ids, dom):
+        assert values.public(i) == av and values.from_public(values.public(i)) == i
+    for i, x in zip(ids, dom):
+        for j, y in zip(ids, dom):
+            assert values.geq(i, j) == geq(x, y), (x, y)
+    if arg_type is None:
+        return
+    apply = values.apply if type_order(arg_type) == 0 else values.apply_geq
+    arg_ids = [values.from_public(av) for av in arg_dom]
+    cases = [((a,), (v,)) for a, v in zip(arg_ids, arg_dom)]
+    for i, g in zip(ids, dom):
+        for args, objs in cases + [(set(arg_ids), arg_dom)]:
+            got = set(map(values.public, apply((i,), args)))
+            assert got == _apply_values((g,), objs), (g, objs)
+
+
+def _argument_types(p):
+    """Every argument type of p's symbols, and the argument and result
+    types inside each arrow among them."""
+    out, stack = [], [a for t in p.table.defined.values() for a in spine(t)[0]]
+    while stack:
+        t = stack.pop()
+        if t not in out:
+            out.append(t)
+            if isinstance(t, Arrow):
+                stack += (t.dom, t.cod)
+            elif isinstance(t, Product):
+                stack += (t.left, t.right)
+    return out
+
+
+def test_id_algebra_matches_value_objects_on_corpus_domains():
+    inputs = ["", "0", "1", "00", "01", "10", "11"]
+    checked = set()
+    for name, p in PROGRAMS:
+        for b in inputs:
+            engine = SaturationEngine(p, [bits_term(b)])
+            for t in _argument_types(p):
+                try:
+                    dom = interpret_type(t, engine.base, cap=256)
+                except DomainCapExceeded:
+                    continue
+                if isinstance(t, Arrow):
+                    arg_dom = interpret_type(t.dom, engine.base, cap=256)
+                    _algebra_agrees(engine.values, dom, t.dom, arg_dom)
+                else:
+                    _algebra_agrees(engine.values, dom)
+                checked.add(str(t))
+    # pairs, graphs over pair arguments and graphs whose results are graphs
+    # are among them; the random graphs below take graph arguments
+    assert {"list * list", "bool => bool", "list * list => bool",
+            "unit => unit => bool", "unit => bool"} <= checked, checked
+
+
+# argument types of higher order: a pair holding a graph, and a graph
+_HIGHER = [Product(BOOL, Arrow(BOOL, BOOL)), Arrow(BOOL, BOOL)]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.sampled_from(_HIGHER),
+       st.lists(st.sets(st.integers(0, 63), max_size=10), min_size=1, max_size=4),
+       st.sets(st.integers(0, 31), max_size=6))
+def test_id_algebra_matches_value_objects_on_random_graphs(arg_type, graphs, picks):
+    # graphs of type arg_type => bool, whose arguments are ordered by the
+    # superset order on the graphs they hold
+    engine = SaturationEngine(BY_NAME["map_not_any"], [bits_term("1")])
+    arg_dom = interpret_type(arg_type, engine.base)
+    entries = [(a, o) for a in arg_dom for o in interpret_type(BOOL, engine.base)]
+    assert len(entries) in (32, 64)
+    dom = [FunAV(frozenset(entries[k % len(entries)] for k in g)) for g in graphs]
+    args = [arg_dom[k % len(arg_dom)] for k in sorted(picks)]
+    _algebra_agrees(engine.values, list(dict.fromkeys(dom)), arg_type,
+                    list(dict.fromkeys(args)))
 
 
 # -- end-to-end saturation --------------------------------------------------
@@ -388,6 +511,15 @@ class _Worklist(SaturationEngine):
                 res.deps[rec.index] = None
 
 
+def _public_table(engine):
+    """The engine's table with its keys and confirmed sets as value objects.
+    Each engine numbers the values it meets in its own order, so two
+    engines' tables compare in this form."""
+    public = engine.values.public
+    return {(f, tuple(map(public, avs))): set(map(public, rec))
+            for (f, avs), rec in engine.table.items()}
+
+
 def _solve_both(monkeypatch, solve):
     """(result, engine) of the local solver, then of the plain worklist,
     which `_goal` and `_chain_engine` build through this module's name."""
@@ -416,8 +548,9 @@ def test_local_solver_matches_worklist(monkeypatch):
         (res, local), (ref, worklist) = _solve_both(monkeypatch, solve)
         assert isinstance(worklist, _Worklist), label
         assert res == ref, label
-        for key in local.table.keys() & worklist.table.keys():
-            mine, theirs = local.table[key], worklist.table[key]
+        mine_table, their_table = _public_table(local), _public_table(worklist)
+        for key in mine_table.keys() & their_table.keys():
+            mine, theirs = mine_table[key], their_table[key]
             assert mine == theirs or _same_downset(mine, theirs), (label, key)
         assert local.stats.evaluations <= worklist.stats.evaluations, label
         if label == "parity 111111":
@@ -428,22 +561,69 @@ def test_local_solver_matches_worklist(monkeypatch):
 
 # -- statement records ----------------------------------------------------------
 
-def test_a_query_hashes_its_key_once(monkeypatch):
-    # the table maps each key to its record, and the frames, the worklist
-    # and the dependants work on records.  An engine that hashed a key again
-    # for each of its dicts made 38 654 Base and 40 626 PairAV hashes here
-    cs = bits_term("111111")
-    p, acs = compile_tm(tm_parity()).program, abstract(cs)
-    counts = {Base: 0, PairAV: 0}
-    for cls in counts:
-        def counted(self, cls=cls, orig=cls.__hash__):
-            counts[cls] += 1
+def _size(av):
+    """The number of value objects av is made of, itself included."""
+    if isinstance(av, PairAV):
+        return 1 + _size(av.left) + _size(av.right)
+    if isinstance(av, FunAV):
+        return 1 + sum(_size(a) + _size(o) for a, o in av.graph)
+    return 1
+
+
+def test_values_are_ids_inside_the_fixpoint(monkeypatch):
+    # a key is a symbol and a tuple of ints, and a data argument is found by
+    # set membership, so the fixpoint neither hashes nor compares a value
+    # object.  Only the conversions of a call's arguments and results do,
+    # at most once per object the arguments and results are made of.  An
+    # engine whose keys held value objects made 31 118 of these calls
+    # inside the fixpoint here
+    counts = {"fixpoint": 0, "boundary": 0}
+    region, allowed = ["outside"], [0]
+
+    def count():
+        if region[-1] != "outside":
+            counts[region[-1]] += 1
+
+    for cls in (Base, PairAV, FunAV):
+        def hashed(self, orig=cls.__hash__):
+            count()
             return orig(self)
-        monkeypatch.setattr(cls, "__hash__", counted)
-    engine = SaturationEngine(p, [cs])
-    engine.call("start", (acs,))
+        monkeypatch.setattr(cls, "__hash__", hashed)
+
+    def compared(self, other):
+        count()
+        return lang._term_eq(self, other)
+
+    for cls in (Con, Fun, Var, Pair):
+        monkeypatch.setattr(cls, "__eq__", compared)
+
+    def entered(name, meth, boundary):
+        def run(self, *args):
+            region.append(name)
+            try:
+                out = meth(self, *args)
+            finally:
+                region.pop()
+            if boundary:
+                allowed[0] += sum(map(_size, args[1])) + sum(map(_size, out))
+            return out
+        monkeypatch.setattr(SaturationEngine, meth.__name__, run)
+
+    entered("fixpoint", SaturationEngine._drive, False)
+    entered("boundary", SaturationEngine.call, True)
+    entered("boundary", SaturationEngine.eval_call, True)
+
+    # plans are compiled before, as they are once per program
+    parity, nondet = compile_tm(tm_parity()).program, gen_nondetcount(2)
+    for p in (parity, nondet.program):
+        p._plans["demand"] = {f: compile_plan(p, f, "demand") for f in p.table.defined}
+    cs = bits_term("111111")
+    engine = SaturationEngine(parity, [cs])
+    assert {concrete(v).name for v in engine.call("start", (abstract(cs),))} == {"true"}
     assert engine.stats.keys == 2218
-    assert counts[Base] <= 38_654 // 3 and counts[PairAV] <= 40_626 // 3, counts
+    assert counting.chain_length_saturate(nondet, 2) == 7
+    assert counts["fixpoint"] == 0, counts
+    assert counts["boundary"] <= allowed[0], (counts, allowed)
 
 
 def test_discarded_engine_leaves_no_cyclic_garbage():
